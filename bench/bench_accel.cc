@@ -1,7 +1,9 @@
 // Experiment A6 — the "improved search mechanism" the paper deliberately
 // skipped (§4): Hamerly triangle-inequality bounds vs the plain Lloyd
-// scan. Quality must be identical (exact accelerator); time and the
-// fraction of distance computations skipped are the payoff.
+// scan. Quality is compared as final SSE within 1e-6 relative (the two
+// iterations are not bitwise-identical and may stop after different
+// iteration counts); time and the fraction of distance computations
+// skipped are the payoff.
 
 #include <algorithm>
 #include <iostream>
@@ -24,10 +26,10 @@ int Main(int argc, char** argv) {
   grid.Finalize();
 
   PrintBanner("Ablation A6",
-              "plain Lloyd vs Hamerly-accelerated iteration (exact)",
+              "plain Lloyd vs Hamerly-accelerated iteration",
               grid);
   std::cout << "        N |    lloyd(ms) |  hamerly(ms) | speed-up | "
-               "skip rate |  SSE match\n";
+               "skip rate | SSE 1e-6 rel\n";
   std::cout << "----------+--------------+--------------+----------+-----"
                "------+-----------\n";
 
@@ -68,10 +70,11 @@ int Main(int argc, char** argv) {
                          ? 100.0 * stats.bound_skips / total_points
                          : 0.0,
                      8, 1)
-              << "% | " << (match ? "   exact" : " MISMATCH") << "\n";
+              << "% | " << (match ? "    within" : "   OUTSIDE") << "\n";
   }
-  std::cout << "\nReading: identical SSE in every row (the accelerator is "
-               "exact); the skip rate\nand speed-up grow with N as "
+  std::cout << "\nReading: 'within' means the final SSE matches Lloyd's "
+               "to 1e-6 relative\n(not bitwise; iteration counts may "
+               "differ). The skip rate and speed-up\ngrow with N as "
                "clusters stabilize early and bounds stay tight.\n";
   return 0;
 }

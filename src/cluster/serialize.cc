@@ -1,10 +1,10 @@
 #include "cluster/serialize.h"
 
-#include <cstring>
 #include <fstream>
 #include <vector>
 
 #include "common/annotations.h"
+#include "common/bytes.h"
 #include "data/io.h"
 #include "data/manifest.h"
 
@@ -14,20 +14,6 @@ namespace {
 constexpr uint32_t kModelMagic = 0x4d4b4d50;  // "PMKM"
 constexpr uint32_t kModelVersion = 1;
 constexpr uint32_t kFlagHasAssignments = 1u << 0;
-
-// Appends raw bytes of `value` to `out`.
-template <typename T>
-void PutPod(std::vector<char>* out, const T& value) {
-  const char* p = reinterpret_cast<const char*>(&value);
-  out->insert(out->end(), p, p + sizeof(T));
-}
-
-template <typename T>
-Status GetPod(std::ifstream* in, T* value) {
-  in->read(reinterpret_cast<char*>(value), sizeof(T));
-  if (!*in) return Status::IOError("truncated model file");
-  return Status::OK();
-}
 
 }  // namespace
 
@@ -39,37 +25,33 @@ Status SaveModel(const std::string& path,
   if (model.weights.size() != model.k()) {
     return Status::InvalidArgument("model weights/centroids mismatch");
   }
-  std::vector<char> buf;
-  PutPod(&buf, kModelMagic);
-  PutPod(&buf, kModelVersion);
-  PutPod(&buf, static_cast<uint64_t>(model.k()));
-  PutPod(&buf, static_cast<uint64_t>(model.dim()));
+  ByteWriter out;
+  out.WriteU32(kModelMagic);
+  out.WriteU32(kModelVersion);
+  out.WriteU64(model.k());
+  out.WriteU64(model.dim());
   const uint32_t flags =
       model.assignments.empty() ? 0u : kFlagHasAssignments;
-  PutPod(&buf, flags);
-  PutPod(&buf, uint32_t{0});
-  PutPod(&buf, model.sse);
-  PutPod(&buf, model.mse_per_point);
-  PutPod(&buf, static_cast<uint64_t>(model.iterations));
-  PutPod(&buf, static_cast<uint32_t>(model.converged ? 1 : 0));
-  PutPod(&buf, uint32_t{0});
-  for (double v : model.centroids.values()) PutPod(&buf, v);
-  for (double w : model.weights) PutPod(&buf, w);
+  out.WriteU32(flags);
+  out.WriteU32(0);  // pad
+  out.WriteF64(model.sse);
+  out.WriteF64(model.mse_per_point);
+  out.WriteU64(model.iterations);
+  out.WriteU32(model.converged ? 1 : 0);
+  out.WriteU32(0);  // pad
+  out.WriteF64s(model.centroids.values());
+  out.WriteF64s(model.weights);
   if (flags & kFlagHasAssignments) {
-    PutPod(&buf, static_cast<uint64_t>(model.assignments.size()));
-    for (uint32_t a : model.assignments) PutPod(&buf, a);
+    out.WriteU64(model.assignments.size());
+    for (uint32_t a : model.assignments) out.WriteU32(a);
   }
-  const uint64_t hash =
-      internal::Fnv1a64(buf.data(), buf.size(), internal::kFnvOffset);
-  const char* hp = reinterpret_cast<const char*>(&hash);
-  buf.insert(buf.end(), hp, hp + sizeof(hash));
+  out.WriteU64(
+      internal::Fnv1a64(out.bytes().data(), out.size(), internal::kFnvOffset));
 
   // Durable atomic publish (stage + fsync + rename + dir fsync): a model
   // file either exists completely or not at all, even across power loss —
   // the kill-sweep harness compares these files bytewise across crashes.
-  return AtomicWriteFile(
-      path, std::span<const uint8_t>(
-                reinterpret_cast<const uint8_t*>(buf.data()), buf.size()));
+  return AtomicWriteFile(path, out.bytes());
 }
 
 Result<ClusteringModel> LoadModel(const std::string& path) {
@@ -83,70 +65,72 @@ Result<ClusteringModel> LoadModel(const std::string& path) {
   if (size < static_cast<std::streamoff>(sizeof(uint64_t) + 8)) {
     return Status::IOError("file too small to be a model: " + path);
   }
-  std::vector<char> buf(static_cast<size_t>(size));
-  in.read(buf.data(), size);
-  if (!in) return Status::IOError("short read: " + path);
-  uint64_t stored;
-  std::memcpy(&stored, buf.data() + buf.size() - sizeof(uint64_t),
-              sizeof(uint64_t));
-  const uint64_t computed = internal::Fnv1a64(
-      buf.data(), buf.size() - sizeof(uint64_t), internal::kFnvOffset);
-  if (stored != computed) {
+  std::vector<uint8_t> buf(static_cast<size_t>(size));
+  if (!ReadFromStream(in, buf)) return Status::IOError("short read: " + path);
+  const size_t body = buf.size() - sizeof(uint64_t);
+  if (LoadLeU64(buf.data() + body) !=
+      internal::Fnv1a64(buf.data(), body, internal::kFnvOffset)) {
     return Status::IOError("checksum mismatch (corrupt model): " + path);
   }
 
-  size_t pos = 0;
-  auto take = [&](auto* value) -> Status {
-    using T = std::remove_pointer_t<decltype(value)>;
-    if (pos + sizeof(T) > buf.size() - sizeof(uint64_t)) {
-      return Status::IOError("truncated model payload: " + path);
-    }
-    std::memcpy(value, buf.data() + pos, sizeof(T));
-    pos += sizeof(T);
-    return Status::OK();
-  };
-
-  uint32_t magic, version, flags, pad;
-  uint64_t k, dim;
-  PMKM_RETURN_NOT_OK(take(&magic));
+  const std::string what = "model file " + path;
+  ByteReader reader(std::span<const uint8_t>(buf).first(body),
+                    StatusCode::kIOError, what);
+  uint32_t magic = 0, version = 0, flags = 0, pad = 0;
+  uint64_t k = 0, dim = 0;
+  PMKM_RETURN_NOT_OK(reader.ReadU32(&magic));
   if (magic != kModelMagic) {
     return Status::IOError("bad magic (not a model file): " + path);
   }
-  PMKM_RETURN_NOT_OK(take(&version));
+  PMKM_RETURN_NOT_OK(reader.ReadU32(&version));
   if (version != kModelVersion) {
     return Status::IOError("unsupported model version: " + path);
   }
-  PMKM_RETURN_NOT_OK(take(&k));
-  PMKM_RETURN_NOT_OK(take(&dim));
+  PMKM_RETURN_NOT_OK(reader.ReadU64(&k));
+  PMKM_RETURN_NOT_OK(reader.ReadU64(&dim));
   if (k == 0 || dim == 0) {
     return Status::IOError("degenerate model shape: " + path);
   }
-  PMKM_RETURN_NOT_OK(take(&flags));
-  PMKM_RETURN_NOT_OK(take(&pad));
+  PMKM_RETURN_NOT_OK(reader.ReadU32(&flags));
+  PMKM_RETURN_NOT_OK(reader.ReadU32(&pad));
+  if ((flags & ~kFlagHasAssignments) != 0 || pad != 0) {
+    return reader.Error("unknown flag bits or nonzero padding");
+  }
 
   ClusteringModel model;
-  uint64_t iterations;
-  uint32_t converged;
-  PMKM_RETURN_NOT_OK(take(&model.sse));
-  PMKM_RETURN_NOT_OK(take(&model.mse_per_point));
-  PMKM_RETURN_NOT_OK(take(&iterations));
-  PMKM_RETURN_NOT_OK(take(&converged));
-  PMKM_RETURN_NOT_OK(take(&pad));
+  uint64_t iterations = 0;
+  uint32_t converged = 0;
+  PMKM_RETURN_NOT_OK(reader.ReadF64(&model.sse));
+  PMKM_RETURN_NOT_OK(reader.ReadF64(&model.mse_per_point));
+  PMKM_RETURN_NOT_OK(reader.ReadU64(&iterations));
+  PMKM_RETURN_NOT_OK(reader.ReadU32(&converged));
+  PMKM_RETURN_NOT_OK(reader.ReadU32(&pad));
+  if (converged > 1 || pad != 0) {
+    return reader.Error("non-boolean converged flag or nonzero padding");
+  }
   model.iterations = iterations;
   model.converged = converged != 0;
 
+  // The header's shape is untrusted: k rows of dim centroid values plus a
+  // weight must fit in the bytes that remain before anything is sized
+  // from it. Checking dim first keeps (dim + 1) * 8 from overflowing.
+  PMKM_RETURN_NOT_OK(reader.CheckCount(dim, sizeof(double)));
+  PMKM_RETURN_NOT_OK(reader.CheckCount(k, (dim + 1) * sizeof(double)));
   std::vector<double> centroid_values(k * dim);
-  for (double& v : centroid_values) PMKM_RETURN_NOT_OK(take(&v));
+  PMKM_RETURN_NOT_OK(reader.ReadF64s(centroid_values));
   PMKM_ASSIGN_OR_RETURN(model.centroids,
                         Dataset::FromFlat(dim, std::move(centroid_values)));
   model.weights.resize(k);
-  for (double& w : model.weights) PMKM_RETURN_NOT_OK(take(&w));
+  PMKM_RETURN_NOT_OK(reader.ReadF64s(model.weights));
   if (flags & kFlagHasAssignments) {
-    uint64_t n;
-    PMKM_RETURN_NOT_OK(take(&n));
+    uint64_t n = 0;
+    PMKM_RETURN_NOT_OK(reader.ReadCount(&n, sizeof(uint32_t)));
     model.assignments.resize(n);
-    for (uint32_t& a : model.assignments) PMKM_RETURN_NOT_OK(take(&a));
+    for (uint32_t& a : model.assignments) {
+      PMKM_RETURN_NOT_OK(reader.ReadU32(&a));
+    }
   }
+  PMKM_RETURN_NOT_OK(reader.ExpectEnd());
   return model;
 }
 

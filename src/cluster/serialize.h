@@ -7,7 +7,7 @@
 //
 //   [magic "PMKM"] [version u32] [k u64] [dim u64]
 //   [flags u32: bit0 = has assignments] [pad u32]
-//   [sse f64] [mse_per_point f64] [iterations u64] [converged u8 + pad]
+//   [sse f64] [mse_per_point f64] [iterations u64] [converged u32] [pad u32]
 //   [k*dim f64 centroids] [k f64 weights] [n u64 + n u32 assignments]?
 //   [fnv1a-64 checksum]
 
@@ -26,7 +26,9 @@ namespace pmkm {
 Status SaveModel(const std::string& path, const ClusteringModel& model);
 
 /// Reads a model written by SaveModel, verifying magic, version and
-/// checksum.
+/// checksum. The header's shape is checked against the file size before
+/// anything is allocated, and only SaveModel's exact encoding is accepted
+/// (zero padding, no trailing bytes), so every failure is an IOError.
 Result<ClusteringModel> LoadModel(const std::string& path);
 
 }  // namespace pmkm

@@ -1,9 +1,9 @@
 #include "data/io.h"
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 
+#include "common/bytes.h"
 #include "common/fault.h"
 #include "data/manifest.h"
 
@@ -32,16 +32,14 @@ constexpr uint32_t kVersion = 1;
 // exists so a corrupt/hostile header cannot request absurd allocations.
 constexpr uint32_t kMaxBucketDim = 1u << 20;
 
-struct Header {
-  uint32_t magic;
-  uint32_t version;
-  uint32_t dim;
-  int32_t lat;
-  int32_t lon;
-  uint32_t pad;
-  uint64_t count;
-};
-static_assert(sizeof(Header) == 32, "header layout is part of the format");
+// Header layout: magic, version, dim (u32), lat, lon (i32), pad (u32),
+// count (u64). The writer back-patches count on Close().
+constexpr size_t kHeaderBytes = 32;
+constexpr size_t kCountOffset = 24;
+
+// Values encoded per stream write: bounds the writer's buffer, so writing
+// a large bucket never holds a second copy of it.
+constexpr size_t kEncodeSliceValues = 8192;
 
 // Crash-safe publication: data is staged in a `<path>.tmp` sibling and
 // renamed into place only once complete, so a killed process never leaves
@@ -69,33 +67,11 @@ Status CommitTmp(const std::string& path) {
 }  // namespace
 
 Status WriteGridBucket(const std::string& path, const GridBucket& bucket) {
-  PMKM_RETURN_NOT_OK(FaultRegistry::Global().Hit("io.write"));
-  const std::string tmp = TmpPath(path);
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open for writing: " + tmp);
-
-  Header h{};
-  h.magic = kMagic;
-  h.version = kVersion;
-  h.dim = static_cast<uint32_t>(bucket.points.dim());
-  h.lat = bucket.cell.lat_index;
-  h.lon = bucket.cell.lon_index;
-  h.pad = 0;
-  h.count = bucket.points.size();
-  out.write(reinterpret_cast<const char*>(&h), sizeof(h));
-
-  const auto& values = bucket.points.values();
-  const size_t bytes = values.size() * sizeof(double);
-  out.write(reinterpret_cast<const char*>(values.data()),
-            static_cast<std::streamsize>(bytes));
-
-  const uint64_t hash =
-      internal::Fnv1a64(values.data(), bytes, internal::kFnvOffset);
-  out.write(reinterpret_cast<const char*>(&hash), sizeof(hash));
-  out.flush();
-  out.close();
-  if (!out) return Status::IOError("short write: " + tmp);
-  return CommitTmp(path);
+  PMKM_ASSIGN_OR_RETURN(
+      GridBucketWriter writer,
+      GridBucketWriter::Open(path, bucket.cell, bucket.points.dim()));
+  PMKM_RETURN_NOT_OK(writer.AppendAll(bucket.points));
+  return writer.Close();
 }
 
 Result<GridBucket> ReadGridBucket(const std::string& path) {
@@ -148,16 +124,17 @@ Result<GridBucketWriter> GridBucketWriter::Open(const std::string& path,
     return Status::IOError("cannot open for writing: " + TmpPath(path));
   }
 
-  Header h{};
-  h.magic = kMagic;
-  h.version = kVersion;
-  h.dim = static_cast<uint32_t>(dim);
-  h.lat = cell.lat_index;
-  h.lon = cell.lon_index;
-  h.pad = 0;
-  h.count = 0;  // patched on Close()
-  out->write(reinterpret_cast<const char*>(&h), sizeof(h));
-  if (!*out) return Status::IOError("short header write: " + path);
+  ByteWriter header;
+  header.WriteU32(kMagic);
+  header.WriteU32(kVersion);
+  header.WriteU32(static_cast<uint32_t>(dim));
+  header.WriteI32(cell.lat_index);
+  header.WriteI32(cell.lon_index);
+  header.WriteU32(0);  // pad
+  header.WriteU64(0);  // count, patched on Close()
+  if (!WriteToStream(*out, header.bytes())) {
+    return Status::IOError("short header write: " + path);
+  }
 
   GridBucketWriter writer;
   writer.out_ = std::move(out);
@@ -168,28 +145,34 @@ Result<GridBucketWriter> GridBucketWriter::Open(const std::string& path,
 }
 
 Status GridBucketWriter::Append(std::span<const double> point) {
-  if (out_ == nullptr) {
-    return Status::FailedPrecondition("writer already closed");
-  }
   if (point.size() != dim_) {
     return Status::InvalidArgument("point dimensionality mismatch");
   }
-  const size_t bytes = dim_ * sizeof(double);
-  out_->write(reinterpret_cast<const char*>(point.data()),
-              static_cast<std::streamsize>(bytes));
-  if (!*out_) return Status::IOError("short write: " + path_);
-  running_hash_ = internal::Fnv1a64(point.data(), bytes, running_hash_);
-  ++points_written_;
-  return Status::OK();
+  return WriteValues(point);
 }
 
 Status GridBucketWriter::AppendAll(const Dataset& points) {
   if (points.dim() != dim_) {
     return Status::InvalidArgument("dataset dimensionality mismatch");
   }
-  for (size_t i = 0; i < points.size(); ++i) {
-    PMKM_RETURN_NOT_OK(Append(points.Row(i)));
+  return WriteValues(points.values());
+}
+
+Status GridBucketWriter::WriteValues(std::span<const double> values) {
+  if (out_ == nullptr) {
+    return Status::FailedPrecondition("writer already closed");
   }
+  for (size_t at = 0; at < values.size(); at += kEncodeSliceValues) {
+    encoded_.Clear();
+    encoded_.WriteF64s(values.subspan(
+        at, std::min(kEncodeSliceValues, values.size() - at)));
+    if (!WriteToStream(*out_, encoded_.bytes())) {
+      return Status::IOError("short write: " + path_);
+    }
+    running_hash_ = internal::Fnv1a64(encoded_.bytes().data(),
+                                      encoded_.size(), running_hash_);
+  }
+  points_written_ += values.size() / dim_;
   return Status::OK();
 }
 
@@ -198,12 +181,15 @@ Status GridBucketWriter::Close() {
     return Status::FailedPrecondition("writer already closed");
   }
   PMKM_RETURN_NOT_OK(FaultRegistry::Global().Hit("io.write"));
-  out_->write(reinterpret_cast<const char*>(&running_hash_),
-              sizeof(running_hash_));
-  // Back-patch the point count in the header.
-  const uint64_t count = points_written_;
-  out_->seekp(offsetof(Header, count), std::ios::beg);
-  out_->write(reinterpret_cast<const char*>(&count), sizeof(count));
+  // Checksum trailer, then back-patch the point count in the header. A
+  // failed write leaves the stream bad, which the check below reports.
+  encoded_.Clear();
+  encoded_.WriteU64(running_hash_);
+  WriteToStream(*out_, encoded_.bytes());
+  encoded_.Clear();
+  encoded_.WriteU64(points_written_);
+  out_->seekp(kCountOffset, std::ios::beg);
+  WriteToStream(*out_, encoded_.bytes());
   out_->flush();
   out_->close();
   const bool ok = static_cast<bool>(*out_);
@@ -218,42 +204,47 @@ Result<GridBucketReader> GridBucketReader::Open(const std::string& path) {
   auto in = std::make_shared<std::ifstream>(path, std::ios::binary);
   if (!*in) return Status::IOError("cannot open for reading: " + path);
 
-  Header h{};
-  in->read(reinterpret_cast<char*>(&h), sizeof(h));
-  if (!*in) return Status::IOError("short header: " + path);
-  if (h.magic != kMagic) {
+  uint8_t header[kHeaderBytes];
+  if (!ReadFromStream(*in, header)) {
+    return Status::IOError("short header: " + path);
+  }
+  if (LoadLeU32(header) != kMagic) {
     return Status::IOError("bad magic (not a grid bucket file): " + path);
   }
-  if (h.version != kVersion) {
+  const uint32_t version = LoadLeU32(header + 4);
+  if (version != kVersion) {
     return Status::IOError("unsupported bucket version " +
-                           std::to_string(h.version) + ": " + path);
+                           std::to_string(version) + ": " + path);
   }
-  if (h.dim == 0) return Status::IOError("zero dimensionality: " + path);
-  if (h.dim > kMaxBucketDim) {
+  const uint32_t dim = LoadLeU32(header + 8);
+  if (dim == 0) return Status::IOError("zero dimensionality: " + path);
+  if (dim > kMaxBucketDim) {
     return Status::IOError("implausible dimensionality " +
-                           std::to_string(h.dim) +
+                           std::to_string(dim) +
                            " (corrupt header): " + path);
   }
+  const uint64_t count = LoadLeU64(header + kCountOffset);
   GridBucketReader reader;
   reader.in_ = std::move(in);
   reader.path_ = path;
-  reader.cell_ = GridCellId{h.lat, h.lon};
-  reader.dim_ = h.dim;
-  reader.total_points_ = h.count;
+  reader.cell_ = GridCellId{static_cast<int32_t>(LoadLeU32(header + 12)),
+                            static_cast<int32_t>(LoadLeU32(header + 16))};
+  reader.dim_ = dim;
+  reader.total_points_ = count;
   // How many whole points the file can actually hold past the header,
   // independent of what the header claims. Next() bounds its buffer by
   // this, so a corrupt/hostile count never drives an allocation. The
   // division cannot overflow or divide by zero: 0 < dim <= kMaxBucketDim.
   std::error_code size_ec;
   const uint64_t file_size = std::filesystem::file_size(path, size_ec);
-  if (!size_ec && file_size >= sizeof(Header)) {
+  if (!size_ec && file_size >= kHeaderBytes) {
     reader.available_points_ = static_cast<size_t>(
-        (file_size - sizeof(Header)) /
-        (static_cast<uint64_t>(h.dim) * sizeof(double)));
+        (file_size - kHeaderBytes) /
+        (static_cast<uint64_t>(dim) * sizeof(double)));
   } else {
     // Unsizeable stream (or racing writer): fall back to trusting the
     // header; truncation still surfaces as a short read in Next().
-    reader.available_points_ = h.count;
+    reader.available_points_ = count;
   }
   reader.running_hash_ = internal::kFnvOffset;
   return reader;
@@ -269,10 +260,11 @@ Result<bool> GridBucketReader::Next(size_t max_points, Dataset* out) {
   if (points_read_ >= total_points_) {
     // Verify trailer checksum exactly once, on first end-of-stream call.
     if (in_) {
-      uint64_t stored = 0;
-      in_->read(reinterpret_cast<char*>(&stored), sizeof(stored));
-      if (!*in_) return Status::IOError("missing checksum: " + path_);
-      if (stored != running_hash_) {
+      uint8_t stored[sizeof(uint64_t)];
+      if (!ReadFromStream(*in_, stored)) {
+        return Status::IOError("missing checksum: " + path_);
+      }
+      if (LoadLeU64(stored) != running_hash_) {
         return Status::IOError("checksum mismatch (corrupt bucket): " +
                                path_);
       }
@@ -286,14 +278,16 @@ Result<bool> GridBucketReader::Next(size_t max_points, Dataset* out) {
     // error a short read would, without sizing a buffer from the header.
     return Status::IOError("truncated bucket payload: " + path_);
   }
+  // Land the stored bytes straight in the point buffer, checksum them as
+  // stored, then convert to native byte order (a no-op on LE hosts).
   std::vector<double> buf(take * dim_);
-  in_->read(reinterpret_cast<char*>(buf.data()),
-            static_cast<std::streamsize>(buf.size() * sizeof(double)));
-  if (!*in_) {
+  const std::span<uint8_t> stored = MutableBytesOf(buf);
+  if (!ReadFromStream(*in_, stored)) {
     return Status::IOError("truncated bucket payload: " + path_);
   }
-  running_hash_ = internal::Fnv1a64(
-      buf.data(), buf.size() * sizeof(double), running_hash_);
+  running_hash_ =
+      internal::Fnv1a64(stored.data(), stored.size(), running_hash_);
+  LeToNativeF64s(buf);
   points_read_ += take;
   PMKM_ASSIGN_OR_RETURN(*out, Dataset::FromFlat(dim_, std::move(buf)));
   return true;

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "data/dataset.h"
 #include "data/grid.h"
 
@@ -30,11 +31,11 @@ struct GridBucket {
   Dataset points{1};
 };
 
-/// Writes a complete bucket file crash-safely: the bytes are staged in a
-/// `<path>.tmp` sibling, fsync'd, renamed into place, and the parent
-/// directory fsync'd (see data/manifest.h for the commit protocol), so a
-/// killed process never leaves a half-written bucket at `path` and a
-/// published bucket survives power loss.
+/// Writes a complete bucket file crash-safely through GridBucketWriter: the
+/// bytes are staged in a `<path>.tmp` sibling, fsync'd, renamed into
+/// place, and the parent directory fsync'd (see data/manifest.h for the
+/// commit protocol), so a killed process never leaves a half-written
+/// bucket at `path` and a published bucket survives power loss.
 Status WriteGridBucket(const std::string& path, const GridBucket& bucket);
 
 /// Reads a complete bucket file, verifying magic, version and checksum.
@@ -76,11 +77,17 @@ class GridBucketWriter {
  private:
   GridBucketWriter() = default;
 
+  /// Encodes `values` (whole points) little-endian, in bounded slices,
+  /// and appends them.
+  Status WriteValues(std::span<const double> values);
+
   std::shared_ptr<std::ofstream> out_;
   std::string path_;
   size_t dim_ = 0;
   size_t points_written_ = 0;
   uint64_t running_hash_ = 0;
+  ByteWriter encoded_;  // reused encode buffer
+
 };
 
 /// Streaming reader: yields points in file order, `max_points` at a time.

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 
+#include "common/bytes.h"
 #include "common/fault.h"
 
 namespace pmkm {
@@ -37,33 +38,6 @@ std::string ErrnoMessage(const std::string& what, const std::string& path) {
   return what + ": " + path + " (" + std::strerror(errno) + ")";
 }
 
-// Little-endian fixed-width codec for the record framing. The journal is
-// only ever read on the architecture family that wrote it (little-endian
-// everywhere we run), but going through byte stores keeps the format
-// defined rather than struct-layout-dependent.
-void PutU32(uint8_t* p, uint32_t v) {
-  p[0] = static_cast<uint8_t>(v);
-  p[1] = static_cast<uint8_t>(v >> 8);
-  p[2] = static_cast<uint8_t>(v >> 16);
-  p[3] = static_cast<uint8_t>(v >> 24);
-}
-
-void PutU64(uint8_t* p, uint64_t v) {
-  PutU32(p, static_cast<uint32_t>(v));
-  PutU32(p + 4, static_cast<uint32_t>(v >> 32));
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  return static_cast<uint64_t>(GetU32(p)) |
-         (static_cast<uint64_t>(GetU32(p + 4)) << 32);
-}
-
 // Writes all of `len` bytes, retrying short writes. Returns an IOError on
 // failure (partial bytes may have reached the file — recovery discards
 // them).
@@ -86,16 +60,15 @@ Status WriteFully(int fd, const uint8_t* data, size_t len,
 // with the CRC taken over type|seq|payload.
 std::vector<uint8_t> EncodeFrame(uint32_t type, uint64_t seq,
                                  std::span<const uint8_t> payload) {
-  std::vector<uint8_t> frame(internal::kRecordFixedBytes + payload.size());
-  PutU32(frame.data(), static_cast<uint32_t>(payload.size()));
-  PutU32(frame.data() + 4, type);
-  PutU64(frame.data() + 8, seq);
-  if (!payload.empty()) {
-    std::memcpy(frame.data() + 16, payload.data(), payload.size());
-  }
-  const uint32_t crc = Crc32c(frame.data() + 4, 12 + payload.size());
-  PutU32(frame.data() + 16 + payload.size(), crc);
-  return frame;
+  ByteWriter frame;
+  frame.Reserve(internal::kRecordFixedBytes + payload.size());
+  frame.WriteU32(static_cast<uint32_t>(payload.size()));
+  frame.WriteU32(type);
+  frame.WriteU64(seq);
+  frame.WriteBytes(payload);
+  const std::span<const uint8_t> covered = frame.bytes().subspan(4);
+  frame.WriteU32(Crc32c(covered.data(), covered.size()));
+  return std::move(frame).Take();
 }
 
 }  // namespace
@@ -164,10 +137,7 @@ Status AtomicWriteFile(const std::string& path,
 }
 
 Status AtomicWriteFile(const std::string& path, const std::string& bytes) {
-  return AtomicWriteFile(
-      path, std::span<const uint8_t>(
-                reinterpret_cast<const uint8_t*>(bytes.data()),
-                bytes.size()));
+  return AtomicWriteFile(path, BytesOf(bytes));
 }
 
 Result<JournalRecovery> RecoverJournal(const std::string& path) {
@@ -207,16 +177,16 @@ Result<JournalRecovery> RecoverJournal(const std::string& path) {
     }
     return out;
   }
-  if (GetU32(bytes.data()) != internal::kJournalMagic) {
+  if (LoadLeU32(bytes.data()) != internal::kJournalMagic) {
     out.torn_tail = true;
     out.tail_error = "bad journal magic";
     return out;
   }
-  if (GetU32(bytes.data() + 4) != internal::kJournalVersion) {
+  if (LoadLeU32(bytes.data() + 4) != internal::kJournalVersion) {
     out.torn_tail = true;
     out.tail_error =
         "unsupported journal version " +
-        std::to_string(GetU32(bytes.data() + 4));
+        std::to_string(LoadLeU32(bytes.data() + 4));
     return out;
   }
   out.valid_bytes = internal::kJournalHeaderBytes;
@@ -232,7 +202,7 @@ Result<JournalRecovery> RecoverJournal(const std::string& path) {
                        std::to_string(pos);
       break;
     }
-    const uint32_t payload_len = GetU32(bytes.data() + pos);
+    const uint32_t payload_len = LoadLeU32(bytes.data() + pos);
     if (payload_len > internal::kMaxRecordPayload ||
         remaining - internal::kRecordFixedBytes < payload_len) {
       out.torn_tail = true;
@@ -242,7 +212,7 @@ Result<JournalRecovery> RecoverJournal(const std::string& path) {
       break;
     }
     const uint32_t stored_crc =
-        GetU32(bytes.data() + pos + 16 + payload_len);
+        LoadLeU32(bytes.data() + pos + 16 + payload_len);
     const uint32_t computed_crc =
         Crc32c(bytes.data() + pos + 4, 12 + payload_len);
     if (stored_crc != computed_crc) {
@@ -252,8 +222,8 @@ Result<JournalRecovery> RecoverJournal(const std::string& path) {
       break;
     }
     JournalRecord record;
-    record.type = GetU32(bytes.data() + pos + 4);
-    record.seq = GetU64(bytes.data() + pos + 8);
+    record.type = LoadLeU32(bytes.data() + pos + 4);
+    record.seq = LoadLeU64(bytes.data() + pos + 8);
     // Writers stamp a contiguous sequence starting at 1, so a gap or a
     // duplicate (e.g. a retried append that reached the disk twice) is
     // corruption: the chain ends at the previous record.
@@ -305,11 +275,12 @@ Result<JournalWriter> JournalWriter::Open(const std::string& path,
   }
   if (fresh) {
     writer.recovered_ = JournalRecovery{};
-    uint8_t header[internal::kJournalHeaderBytes];
-    PutU32(header, internal::kJournalMagic);
-    PutU32(header + 4, internal::kJournalVersion);
-    PMKM_RETURN_NOT_OK(WriteFully(fd, header, sizeof(header), path));
-    writer.bytes_appended_ += sizeof(header);
+    ByteWriter header;
+    header.WriteU32(internal::kJournalMagic);
+    header.WriteU32(internal::kJournalVersion);
+    PMKM_RETURN_NOT_OK(
+        WriteFully(fd, header.bytes().data(), header.size(), path));
+    writer.bytes_appended_ += header.size();
   }
   writer.next_seq_ = writer.recovered_.epoch + 1;
   return writer;

@@ -94,6 +94,7 @@ void CpuProfiler::SignalHandler(int /*signum*/) {
   const size_t slot = idx % p.max_samples_;
   // Mark the slot torn while rewriting; readers skip depth == 0.
   p.depths_[slot].store(0, std::memory_order_release);
+  // pmkm-lint: allow(raw-bytes) -- in-memory ring copy in a signal handler.
   std::memcpy(&p.pcs_[slot * p.max_depth_], frames,
               static_cast<size_t>(n) * sizeof(void*));
   p.depths_[slot].store(n, std::memory_order_release);

@@ -60,6 +60,7 @@ Status FillUnixAddr(const std::string& path, sockaddr_un* addr) {
   }
   std::memset(addr, 0, sizeof(*addr));
   addr->sun_family = AF_UNIX;
+  // pmkm-lint: allow(raw-bytes) -- fills a sockaddr field, not a format.
   std::memcpy(addr->sun_path, path.c_str(), path.size());
   return Status::OK();
 }

@@ -1,9 +1,9 @@
 #include "serve/protocol.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/annotations.h"
+#include "common/bytes.h"
 #include "data/manifest.h"
 #include "stream/checkpoint.h"
 
@@ -12,141 +12,15 @@ namespace serve {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Little-endian primitives.
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-  out->push_back(static_cast<uint8_t>(v >> 16));
-  out->push_back(static_cast<uint8_t>(v >> 24));
+// Every wire decoder reports malformed bytes as OutOfRange.
+ByteReader WirePayloadReader(std::span<const uint8_t> payload) {
+  return ByteReader(payload, StatusCode::kOutOfRange, "wire payload");
 }
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-void PutI32(std::vector<uint8_t>* out, int32_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-}
-
-void PutDouble(std::vector<uint8_t>* out, double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-void PutString(std::vector<uint8_t>* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->insert(out->end(), s.begin(), s.end());
-}
-
-void PutBool(std::vector<uint8_t>* out, bool v) {
-  out->push_back(v ? 1 : 0);
-}
-
-uint32_t LoadU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
-
-/// Cursor over a payload with bounds-checked typed reads. Every reader
-/// method fails cleanly on truncation so a malicious or torn payload can
-/// never read out of bounds.
-class WireReader {
- public:
-  explicit WireReader(std::span<const uint8_t> data) : data_(data) {}
-
-  size_t remaining() const { return data_.size() - pos_; }
-
-  Status ReadU32(uint32_t* out) {
-    PMKM_RETURN_NOT_OK(Need(4));
-    *out = LoadU32(data_.data() + pos_);
-    pos_ += 4;
-    return Status::OK();
-  }
-
-  Status ReadU64(uint64_t* out) {
-    uint32_t lo = 0;
-    uint32_t hi = 0;
-    PMKM_RETURN_NOT_OK(ReadU32(&lo));
-    PMKM_RETURN_NOT_OK(ReadU32(&hi));
-    *out = (static_cast<uint64_t>(hi) << 32) | lo;
-    return Status::OK();
-  }
-
-  Status ReadI32(int32_t* out) {
-    uint32_t v = 0;
-    PMKM_RETURN_NOT_OK(ReadU32(&v));
-    *out = static_cast<int32_t>(v);
-    return Status::OK();
-  }
-
-  Status ReadI64(int64_t* out) {
-    uint64_t v = 0;
-    PMKM_RETURN_NOT_OK(ReadU64(&v));
-    *out = static_cast<int64_t>(v);
-    return Status::OK();
-  }
-
-  Status ReadDouble(double* out) {
-    uint64_t bits = 0;
-    PMKM_RETURN_NOT_OK(ReadU64(&bits));
-    std::memcpy(out, &bits, sizeof(*out));
-    return Status::OK();
-  }
-
-  Status ReadString(std::string* out) {
-    uint32_t len = 0;
-    PMKM_RETURN_NOT_OK(ReadU32(&len));
-    if (len > kMaxFramePayload) {
-      return Status::OutOfRange("wire string length " + std::to_string(len) +
-                                " exceeds the frame cap");
-    }
-    PMKM_RETURN_NOT_OK(Need(len));
-    out->assign(reinterpret_cast<const char*>(data_.data() + pos_), len);
-    pos_ += len;
-    return Status::OK();
-  }
-
-  Status ReadBool(bool* out) {
-    PMKM_RETURN_NOT_OK(Need(1));
-    *out = data_[pos_] != 0;
-    pos_ += 1;
-    return Status::OK();
-  }
-
-  Status ReadBytes(size_t len, std::span<const uint8_t>* out) {
-    PMKM_RETURN_NOT_OK(Need(len));
-    *out = data_.subspan(pos_, len);
-    pos_ += len;
-    return Status::OK();
-  }
-
- private:
-  Status Need(size_t n) {
-    if (remaining() < n) {
-      return Status::OutOfRange("truncated wire payload: need " +
-                                std::to_string(n) + " bytes, have " +
-                                std::to_string(remaining()));
-    }
-    return Status::OK();
-  }
-
-  std::span<const uint8_t> data_;
-  size_t pos_ = 0;
-};
 
 uint32_t FrameCrc(uint32_t type, std::span<const uint8_t> payload) {
-  uint8_t type_le[4];
-  type_le[0] = static_cast<uint8_t>(type);
-  type_le[1] = static_cast<uint8_t>(type >> 8);
-  type_le[2] = static_cast<uint8_t>(type >> 16);
-  type_le[3] = static_cast<uint8_t>(type >> 24);
-  const uint32_t seed = Crc32c(type_le, sizeof(type_le));
+  ByteWriter type_le;
+  type_le.WriteU32(type);
+  const uint32_t seed = Crc32c(type_le.bytes().data(), type_le.size());
   return Crc32c(payload.data(), payload.size(), seed);
 }
 
@@ -156,11 +30,11 @@ uint32_t FrameCrc(uint32_t type, std::span<const uint8_t> payload) {
 // Handshake.
 
 std::vector<uint8_t> EncodeHello(uint32_t version) PMKM_DETERMINISTIC {
-  std::vector<uint8_t> out;
-  out.reserve(kHelloBytes);
-  PutU32(&out, kProtocolMagic);
-  PutU32(&out, version);
-  return out;
+  ByteWriter out;
+  out.Reserve(kHelloBytes);
+  out.WriteU32(kProtocolMagic);
+  out.WriteU32(version);
+  return std::move(out).Take();
 }
 
 Result<uint32_t> DecodeHello(std::span<const uint8_t> bytes) {
@@ -169,12 +43,11 @@ Result<uint32_t> DecodeHello(std::span<const uint8_t> bytes) {
                               std::to_string(bytes.size()) + " of " +
                               std::to_string(kHelloBytes) + " bytes");
   }
-  const uint32_t magic = LoadU32(bytes.data());
-  if (magic != kProtocolMagic) {
+  if (LoadLeU32(bytes.data()) != kProtocolMagic) {
     return Status::InvalidArgument("bad protocol magic: not a pmkm serve "
                                    "peer");
   }
-  return LoadU32(bytes.data() + 4);
+  return LoadLeU32(bytes.data() + 4);
 }
 
 Result<uint32_t> NegotiateVersion(uint32_t peer_version) {
@@ -193,20 +66,20 @@ Result<uint32_t> NegotiateVersion(uint32_t peer_version) {
 
 std::vector<uint8_t> EncodeFrame(
     FrameType type, std::span<const uint8_t> payload) PMKM_DETERMINISTIC {
-  std::vector<uint8_t> out;
-  out.reserve(kFrameFixedBytes + payload.size());
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
-  PutU32(&out, static_cast<uint32_t>(type));
-  out.insert(out.end(), payload.begin(), payload.end());
-  PutU32(&out, FrameCrc(static_cast<uint32_t>(type), payload));
-  return out;
+  ByteWriter out;
+  out.Reserve(kFrameFixedBytes + payload.size());
+  out.WriteU32(static_cast<uint32_t>(payload.size()));
+  out.WriteU32(static_cast<uint32_t>(type));
+  out.WriteBytes(payload);
+  out.WriteU32(FrameCrc(static_cast<uint32_t>(type), payload));
+  return std::move(out).Take();
 }
 
 Result<std::optional<Frame>> DecodeFrame(std::span<const uint8_t> buffer,
                                          size_t* consumed) {
   *consumed = 0;
   if (buffer.size() < 8) return std::optional<Frame>();
-  const uint32_t payload_len = LoadU32(buffer.data());
+  const uint32_t payload_len = LoadLeU32(buffer.data());
   if (payload_len > kMaxFramePayload) {
     return Status::OutOfRange("frame payload length " +
                               std::to_string(payload_len) +
@@ -214,9 +87,9 @@ Result<std::optional<Frame>> DecodeFrame(std::span<const uint8_t> buffer,
   }
   const size_t total = kFrameFixedBytes + payload_len;
   if (buffer.size() < total) return std::optional<Frame>();
-  const uint32_t type = LoadU32(buffer.data() + 4);
+  const uint32_t type = LoadLeU32(buffer.data() + 4);
   const std::span<const uint8_t> payload = buffer.subspan(8, payload_len);
-  const uint32_t stored_crc = LoadU32(buffer.data() + 8 + payload_len);
+  const uint32_t stored_crc = LoadLeU32(buffer.data() + 8 + payload_len);
   const uint32_t actual_crc = FrameCrc(type, payload);
   if (stored_crc != actual_crc) {
     return Status::IOError("frame CRC mismatch: stream corrupted");
@@ -233,42 +106,36 @@ Result<std::optional<Frame>> DecodeFrame(std::span<const uint8_t> buffer,
 
 std::vector<uint8_t> EncodeJobSpec(const JobSpec& spec,
                                    uint32_t version) PMKM_DETERMINISTIC {
-  std::vector<uint8_t> out;
-  PutU32(&out, static_cast<uint32_t>(spec.bucket_paths.size()));
+  ByteWriter out;
+  out.WriteU32(static_cast<uint32_t>(spec.bucket_paths.size()));
   for (const std::string& path : spec.bucket_paths) {
-    PutString(&out, path);
+    out.WriteString(path);
   }
-  PutU64(&out, static_cast<uint64_t>(spec.engine.k));
-  PutU64(&out, static_cast<uint64_t>(spec.engine.restarts));
-  PutU64(&out, static_cast<uint64_t>(spec.engine.memory_kib));
-  PutU64(&out, static_cast<uint64_t>(spec.engine.cores));
-  PutString(&out, spec.engine.failure_policy);
-  PutU64(&out, static_cast<uint64_t>(spec.engine.max_retries));
-  PutU64(&out, static_cast<uint64_t>(spec.engine.op_timeout_ms));
-  PutString(&out, spec.engine.kernel);
-  PutString(&out, spec.engine.checkpoint_dir);
-  PutU64(&out, static_cast<uint64_t>(spec.engine.checkpoint_sync));
-  PutBool(&out, spec.engine.resume);
+  out.WriteI64(spec.engine.k);
+  out.WriteI64(spec.engine.restarts);
+  out.WriteI64(spec.engine.memory_kib);
+  out.WriteI64(spec.engine.cores);
+  out.WriteString(spec.engine.failure_policy);
+  out.WriteI64(spec.engine.max_retries);
+  out.WriteI64(spec.engine.op_timeout_ms);
+  out.WriteString(spec.engine.kernel);
+  out.WriteString(spec.engine.checkpoint_dir);
+  out.WriteI64(spec.engine.checkpoint_sync);
+  out.WriteBool(spec.engine.resume);
   if (version >= 2) {
-    PutString(&out, spec.run_id);
-    PutString(&out, spec.client);
+    out.WriteString(spec.run_id);
+    out.WriteString(spec.client);
   }
-  return out;
+  return std::move(out).Take();
 }
 
 Result<JobSpec> DecodeJobSpec(std::span<const uint8_t> payload,
                               uint32_t version) {
-  WireReader reader(payload);
+  ByteReader reader = WirePayloadReader(payload);
   JobSpec spec;
   uint32_t path_count = 0;
-  PMKM_RETURN_NOT_OK(reader.ReadU32(&path_count));
-  // Each path costs at least its 4-byte length prefix, so a sane count
-  // can never exceed the remaining payload.
-  if (path_count > reader.remaining() / 4) {
-    return Status::OutOfRange("job spec path count " +
-                              std::to_string(path_count) +
-                              " exceeds the payload");
-  }
+  // Each path costs at least its 4-byte length prefix.
+  PMKM_RETURN_NOT_OK(reader.ReadCount(&path_count, 4));
   spec.bucket_paths.reserve(path_count);
   for (uint32_t i = 0; i < path_count; ++i) {
     std::string path;
@@ -299,53 +166,56 @@ Result<JobSpec> DecodeJobSpec(std::span<const uint8_t> payload,
 
 namespace {
 
-void AppendJobInfo(std::vector<uint8_t>* out, const JobInfo& info) {
-  PutU64(out, info.job_id);
-  PutU32(out, static_cast<uint32_t>(info.state));
-  PutI32(out, static_cast<int32_t>(info.status.code()));
-  PutString(out, info.status.message());
-  PutString(out, info.client);
-  PutString(out, info.run_id);
-  PutU64(out, info.cells);
-  PutDouble(out, info.wall_seconds);
+void AppendJobInfo(ByteWriter* out, const JobInfo& info) {
+  out->WriteU64(info.job_id);
+  out->WriteU32(static_cast<uint32_t>(info.state));
+  out->WriteI32(static_cast<int32_t>(info.status.code()));
+  out->WriteString(info.status.message());
+  out->WriteString(info.client);
+  out->WriteString(info.run_id);
+  out->WriteU64(info.cells);
+  out->WriteF64(info.wall_seconds);
 }
 
-Status ReadJobInfo(WireReader* reader, JobInfo* info) {
-  PMKM_RETURN_NOT_OK(reader->ReadU64(&info->job_id));
-  uint32_t state = 0;
-  PMKM_RETURN_NOT_OK(reader->ReadU32(&state));
-  if (state > static_cast<uint32_t>(JobState::kCancelled)) {
-    return Status::OutOfRange("unknown job state tag " +
-                              std::to_string(state));
-  }
-  info->state = static_cast<JobState>(state);
+Status ReadStatus(ByteReader* reader, Status* status) {
   int32_t code = 0;
   std::string message;
   PMKM_RETURN_NOT_OK(reader->ReadI32(&code));
   PMKM_RETURN_NOT_OK(reader->ReadString(&message));
   if (code < static_cast<int32_t>(StatusCode::kOk) ||
       code > static_cast<int32_t>(StatusCode::kDeadlineExceeded)) {
-    return Status::OutOfRange("unknown status code tag " +
-                              std::to_string(code));
+    return reader->Error("unknown status code tag " + std::to_string(code));
   }
-  info->status = Status(static_cast<StatusCode>(code), std::move(message));
+  *status = Status(static_cast<StatusCode>(code), std::move(message));
+  return Status::OK();
+}
+
+Status ReadJobInfo(ByteReader* reader, JobInfo* info) {
+  PMKM_RETURN_NOT_OK(reader->ReadU64(&info->job_id));
+  uint32_t state = 0;
+  PMKM_RETURN_NOT_OK(reader->ReadU32(&state));
+  if (state > static_cast<uint32_t>(JobState::kCancelled)) {
+    return reader->Error("unknown job state tag " + std::to_string(state));
+  }
+  info->state = static_cast<JobState>(state);
+  PMKM_RETURN_NOT_OK(ReadStatus(reader, &info->status));
   PMKM_RETURN_NOT_OK(reader->ReadString(&info->client));
   PMKM_RETURN_NOT_OK(reader->ReadString(&info->run_id));
   PMKM_RETURN_NOT_OK(reader->ReadU64(&info->cells));
-  PMKM_RETURN_NOT_OK(reader->ReadDouble(&info->wall_seconds));
+  PMKM_RETURN_NOT_OK(reader->ReadF64(&info->wall_seconds));
   return Status::OK();
 }
 
 }  // namespace
 
 std::vector<uint8_t> EncodeJobInfo(const JobInfo& info) PMKM_DETERMINISTIC {
-  std::vector<uint8_t> out;
+  ByteWriter out;
   AppendJobInfo(&out, info);
-  return out;
+  return std::move(out).Take();
 }
 
 Result<JobInfo> DecodeJobInfo(std::span<const uint8_t> payload) {
-  WireReader reader(payload);
+  ByteReader reader = WirePayloadReader(payload);
   JobInfo info;
   PMKM_RETURN_NOT_OK(ReadJobInfo(&reader, &info));
   return info;
@@ -353,24 +223,20 @@ Result<JobInfo> DecodeJobInfo(std::span<const uint8_t> payload) {
 
 std::vector<uint8_t> EncodeJobList(
     const std::vector<JobInfo>& jobs) PMKM_DETERMINISTIC {
-  std::vector<uint8_t> out;
-  PutU32(&out, static_cast<uint32_t>(jobs.size()));
+  ByteWriter out;
+  out.WriteU32(static_cast<uint32_t>(jobs.size()));
   for (const JobInfo& info : jobs) {
     AppendJobInfo(&out, info);
   }
-  return out;
+  return std::move(out).Take();
 }
 
 Result<std::vector<JobInfo>> DecodeJobList(
     std::span<const uint8_t> payload) {
-  WireReader reader(payload);
+  ByteReader reader = WirePayloadReader(payload);
   uint32_t count = 0;
-  PMKM_RETURN_NOT_OK(reader.ReadU32(&count));
   // A JobInfo is at least 40 fixed bytes on the wire.
-  if (count > reader.remaining() / 40) {
-    return Status::OutOfRange("job list count " + std::to_string(count) +
-                              " exceeds the payload");
-  }
+  PMKM_RETURN_NOT_OK(reader.ReadCount(&count, 40));
   std::vector<JobInfo> jobs;
   jobs.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -386,26 +252,21 @@ Result<std::vector<JobInfo>> DecodeJobList(
 
 std::vector<uint8_t> EncodeModelSet(
     const std::map<GridCellId, CellClustering>& cells) PMKM_DETERMINISTIC {
-  std::vector<uint8_t> out;
-  PutU32(&out, static_cast<uint32_t>(cells.size()));
+  ByteWriter out;
+  out.WriteU32(static_cast<uint32_t>(cells.size()));
   for (const auto& [cell, clustering] : cells) {
     const std::vector<uint8_t> blob = EncodeCellComplete(clustering);
-    PutU32(&out, static_cast<uint32_t>(blob.size()));
-    out.insert(out.end(), blob.begin(), blob.end());
+    out.WriteU32(static_cast<uint32_t>(blob.size()));
+    out.WriteBytes(blob);
   }
-  return out;
+  return std::move(out).Take();
 }
 
 Result<std::map<GridCellId, CellClustering>> DecodeModelSet(
     std::span<const uint8_t> payload) {
-  WireReader reader(payload);
+  ByteReader reader = WirePayloadReader(payload);
   uint32_t count = 0;
-  PMKM_RETURN_NOT_OK(reader.ReadU32(&count));
-  if (count > reader.remaining() / 4) {
-    return Status::OutOfRange("model set cell count " +
-                              std::to_string(count) +
-                              " exceeds the payload");
-  }
+  PMKM_RETURN_NOT_OK(reader.ReadCount(&count, 4));
   std::map<GridCellId, CellClustering> cells;
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t blob_len = 0;
@@ -424,13 +285,13 @@ Result<std::map<GridCellId, CellClustering>> DecodeModelSet(
 // Scalars and replies.
 
 std::vector<uint8_t> EncodeU64(uint64_t value) PMKM_DETERMINISTIC {
-  std::vector<uint8_t> out;
-  PutU64(&out, value);
-  return out;
+  ByteWriter out;
+  out.WriteU64(value);
+  return std::move(out).Take();
 }
 
 Result<uint64_t> DecodeU64(std::span<const uint8_t> payload) {
-  WireReader reader(payload);
+  ByteReader reader = WirePayloadReader(payload);
   uint64_t value = 0;
   PMKM_RETURN_NOT_OK(reader.ReadU64(&value));
   return value;
@@ -438,26 +299,17 @@ Result<uint64_t> DecodeU64(std::span<const uint8_t> payload) {
 
 std::vector<uint8_t> EncodeReply(
     const Status& status, std::span<const uint8_t> body) PMKM_DETERMINISTIC {
-  std::vector<uint8_t> out;
-  PutI32(&out, static_cast<int32_t>(status.code()));
-  PutString(&out, status.message());
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
+  ByteWriter out;
+  out.WriteI32(static_cast<int32_t>(status.code()));
+  out.WriteString(status.message());
+  out.WriteBytes(body);
+  return std::move(out).Take();
 }
 
 Result<Reply> DecodeReply(std::span<const uint8_t> payload) {
-  WireReader reader(payload);
-  int32_t code = 0;
-  std::string message;
-  PMKM_RETURN_NOT_OK(reader.ReadI32(&code));
-  PMKM_RETURN_NOT_OK(reader.ReadString(&message));
-  if (code < static_cast<int32_t>(StatusCode::kOk) ||
-      code > static_cast<int32_t>(StatusCode::kDeadlineExceeded)) {
-    return Status::OutOfRange("unknown status code tag " +
-                              std::to_string(code));
-  }
+  ByteReader reader = WirePayloadReader(payload);
   Reply reply;
-  reply.status = Status(static_cast<StatusCode>(code), std::move(message));
+  PMKM_RETURN_NOT_OK(ReadStatus(&reader, &reply.status));
   std::span<const uint8_t> body;
   PMKM_RETURN_NOT_OK(reader.ReadBytes(reader.remaining(), &body));
   reply.body.assign(body.begin(), body.end());

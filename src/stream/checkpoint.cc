@@ -1,10 +1,10 @@
 #include "stream/checkpoint.h"
 
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 
 #include "common/annotations.h"
+#include "common/bytes.h"
 #include "common/fault.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -14,101 +14,16 @@ namespace pmkm {
 
 namespace {
 
-// ---- Little-endian payload codec ------------------------------------------
-//
-// Payloads reuse the journal's byte order (data/manifest.cc). Doubles are
-// stored as their IEEE-754 bit pattern so a resumed run restores exactly
-// the doubles the crashed run computed — bitwise identity is the whole
-// point of checkpointing a deterministic pipeline.
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-  out->push_back(static_cast<uint8_t>(v >> 16));
-  out->push_back(static_cast<uint8_t>(v >> 24));
+// Checkpoint payloads use the journal's little-endian byte codec
+// (common/bytes.h). Doubles are stored as their IEEE-754 bit pattern so a
+// resumed run restores exactly the doubles the crashed run computed —
+// bitwise identity is the whole point of checkpointing a deterministic
+// pipeline. Payloads may be arbitrary corrupt bytes that happened to pass
+// the CRC (e.g. hand-edited journals), so every decode failure is an
+// IOError, never UB.
+ByteReader PayloadReader(std::span<const uint8_t> payload) {
+  return ByteReader(payload, StatusCode::kIOError, "checkpoint payload");
 }
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-void PutI32(std::vector<uint8_t>* out, int32_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-}
-
-void PutF64(std::vector<uint8_t>* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-void PutF64Span(std::vector<uint8_t>* out, std::span<const double> values) {
-  PutU64(out, values.size());
-  for (double v : values) PutF64(out, v);
-}
-
-// Bounds-checked read cursor: every decode failure surfaces as a Status
-// instead of UB, because checkpoint payloads may be arbitrary corrupt
-// bytes that happened to pass CRC (e.g. hand-edited journals).
-class Cursor {
- public:
-  explicit Cursor(std::span<const uint8_t> bytes) : bytes_(bytes) {}
-
-  size_t remaining() const { return bytes_.size() - pos_; }
-
-  Status ReadU32(uint32_t* out) {
-    if (remaining() < 4) return Truncated("u32");
-    *out = static_cast<uint32_t>(bytes_[pos_]) |
-           static_cast<uint32_t>(bytes_[pos_ + 1]) << 8 |
-           static_cast<uint32_t>(bytes_[pos_ + 2]) << 16 |
-           static_cast<uint32_t>(bytes_[pos_ + 3]) << 24;
-    pos_ += 4;
-    return Status::OK();
-  }
-
-  Status ReadU64(uint64_t* out) {
-    uint32_t lo = 0, hi = 0;
-    PMKM_RETURN_NOT_OK(ReadU32(&lo));
-    PMKM_RETURN_NOT_OK(ReadU32(&hi));
-    *out = static_cast<uint64_t>(hi) << 32 | lo;
-    return Status::OK();
-  }
-
-  Status ReadI32(int32_t* out) {
-    uint32_t raw = 0;
-    PMKM_RETURN_NOT_OK(ReadU32(&raw));
-    *out = static_cast<int32_t>(raw);
-    return Status::OK();
-  }
-
-  Status ReadF64(double* out) {
-    uint64_t bits = 0;
-    PMKM_RETURN_NOT_OK(ReadU64(&bits));
-    std::memcpy(out, &bits, sizeof(*out));
-    return Status::OK();
-  }
-
-  Status ReadF64Vec(std::vector<double>* out) {
-    uint64_t count = 0;
-    PMKM_RETURN_NOT_OK(ReadU64(&count));
-    if (count > remaining() / 8) return Truncated("double array");
-    out->resize(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      PMKM_RETURN_NOT_OK(ReadF64(&(*out)[i]));
-    }
-    return Status::OK();
-  }
-
- private:
-  static Status Truncated(const char* what) {
-    return Status::IOError(std::string("checkpoint payload truncated: ") +
-                            what);
-  }
-
-  std::span<const uint8_t> bytes_;
-  size_t pos_ = 0;
-};
 
 // Payload schema versions, bumped independently of the journal framing.
 constexpr uint32_t kCellPayloadVersion = 1;
@@ -119,27 +34,37 @@ constexpr uint32_t kPartialPayloadVersion = 1;
 constexpr uint64_t kMaxDim = 1u << 20;
 constexpr uint64_t kMaxRows = 1u << 28;
 
-Status DecodeDataset(Cursor* cur, Dataset* out) {
+Status DecodeDataset(ByteReader* reader, Dataset* out) {
   uint64_t dim = 0, rows = 0;
-  PMKM_RETURN_NOT_OK(cur->ReadU64(&dim));
-  PMKM_RETURN_NOT_OK(cur->ReadU64(&rows));
+  PMKM_RETURN_NOT_OK(reader->ReadU64(&dim));
+  PMKM_RETURN_NOT_OK(reader->ReadU64(&rows));
   if (dim == 0 || dim > kMaxDim || rows > kMaxRows) {
-    return Status::IOError("checkpoint payload has implausible dataset "
-                            "shape");
+    return reader->Error("implausible dataset shape");
   }
-  if (rows * dim > cur->remaining() / 8) {
-    return Status::IOError("checkpoint payload truncated: dataset rows");
-  }
+  PMKM_RETURN_NOT_OK(reader->CheckCount(rows * dim, sizeof(double)));
   std::vector<double> flat(rows * dim);
-  for (auto& v : flat) PMKM_RETURN_NOT_OK(cur->ReadF64(&v));
+  PMKM_RETURN_NOT_OK(reader->ReadF64s(flat));
   PMKM_ASSIGN_OR_RETURN(*out, Dataset::FromFlat(dim, std::move(flat)));
   return Status::OK();
 }
 
-void EncodeDataset(std::vector<uint8_t>* out, const Dataset& data) {
-  PutU64(out, data.dim());
-  PutU64(out, data.size());
-  for (double v : data.values()) PutF64(out, v);
+void EncodeDataset(ByteWriter* out, const Dataset& data) {
+  out->WriteU64(data.dim());
+  out->WriteU64(data.size());
+  out->WriteF64s(data.values());
+}
+
+// A u64 count followed by that many doubles.
+Status DecodeF64Vec(ByteReader* reader, std::vector<double>* out) {
+  uint64_t count = 0;
+  PMKM_RETURN_NOT_OK(reader->ReadCount(&count, sizeof(double)));
+  out->resize(count);
+  return reader->ReadF64s(*out);
+}
+
+void EncodeF64Vec(ByteWriter* out, std::span<const double> values) {
+  out->WriteU64(values.size());
+  out->WriteF64s(values);
 }
 
 }  // namespace
@@ -150,91 +75,93 @@ std::string CheckpointJournalPath(const std::string& dir) {
 
 std::vector<uint8_t> EncodeCellComplete(
     const CellClustering& cell) PMKM_DETERMINISTIC {
-  std::vector<uint8_t> out;
-  PutU32(&out, kCellPayloadVersion);
-  PutI32(&out, cell.cell.lat_index);
-  PutI32(&out, cell.cell.lon_index);
-  PutU64(&out, cell.input_points);
-  PutU64(&out, cell.pooled_centroids);
-  PutF64(&out, cell.merge_seconds);
+  ByteWriter out;
+  out.WriteU32(kCellPayloadVersion);
+  out.WriteI32(cell.cell.lat_index);
+  out.WriteI32(cell.cell.lon_index);
+  out.WriteU64(cell.input_points);
+  out.WriteU64(cell.pooled_centroids);
+  out.WriteF64(cell.merge_seconds);
   EncodeDataset(&out, cell.model.centroids);
-  PutF64Span(&out, cell.model.weights);
-  PutF64(&out, cell.model.sse);
-  PutF64(&out, cell.model.mse_per_point);
-  PutU64(&out, cell.model.iterations);
-  PutU32(&out, cell.model.converged ? 1 : 0);
-  return out;
+  EncodeF64Vec(&out, cell.model.weights);
+  out.WriteF64(cell.model.sse);
+  out.WriteF64(cell.model.mse_per_point);
+  out.WriteU64(cell.model.iterations);
+  out.WriteU32(cell.model.converged ? 1 : 0);
+  return std::move(out).Take();
 }
 
 Result<CellClustering> DecodeCellComplete(std::span<const uint8_t> payload) {
-  Cursor cur(payload);
+  ByteReader reader = PayloadReader(payload);
   uint32_t version = 0;
-  PMKM_RETURN_NOT_OK(cur.ReadU32(&version));
+  PMKM_RETURN_NOT_OK(reader.ReadU32(&version));
   if (version != kCellPayloadVersion) {
-    return Status::IOError("unknown cell-complete payload version");
+    return reader.Error("unknown cell-complete payload version");
   }
   CellClustering cell;
-  PMKM_RETURN_NOT_OK(cur.ReadI32(&cell.cell.lat_index));
-  PMKM_RETURN_NOT_OK(cur.ReadI32(&cell.cell.lon_index));
+  PMKM_RETURN_NOT_OK(reader.ReadI32(&cell.cell.lat_index));
+  PMKM_RETURN_NOT_OK(reader.ReadI32(&cell.cell.lon_index));
   uint64_t input_points = 0, pooled = 0;
-  PMKM_RETURN_NOT_OK(cur.ReadU64(&input_points));
-  PMKM_RETURN_NOT_OK(cur.ReadU64(&pooled));
+  PMKM_RETURN_NOT_OK(reader.ReadU64(&input_points));
+  PMKM_RETURN_NOT_OK(reader.ReadU64(&pooled));
   cell.input_points = input_points;
   cell.pooled_centroids = pooled;
-  PMKM_RETURN_NOT_OK(cur.ReadF64(&cell.merge_seconds));
-  PMKM_RETURN_NOT_OK(DecodeDataset(&cur, &cell.model.centroids));
-  PMKM_RETURN_NOT_OK(cur.ReadF64Vec(&cell.model.weights));
+  PMKM_RETURN_NOT_OK(reader.ReadF64(&cell.merge_seconds));
+  PMKM_RETURN_NOT_OK(DecodeDataset(&reader, &cell.model.centroids));
+  PMKM_RETURN_NOT_OK(DecodeF64Vec(&reader, &cell.model.weights));
   if (cell.model.weights.size() != cell.model.centroids.size()) {
-    return Status::IOError("cell-complete payload weight/centroid "
-                            "count mismatch");
+    return reader.Error("weight/centroid count mismatch");
   }
-  PMKM_RETURN_NOT_OK(cur.ReadF64(&cell.model.sse));
-  PMKM_RETURN_NOT_OK(cur.ReadF64(&cell.model.mse_per_point));
+  PMKM_RETURN_NOT_OK(reader.ReadF64(&cell.model.sse));
+  PMKM_RETURN_NOT_OK(reader.ReadF64(&cell.model.mse_per_point));
   uint64_t iterations = 0;
-  PMKM_RETURN_NOT_OK(cur.ReadU64(&iterations));
+  PMKM_RETURN_NOT_OK(reader.ReadU64(&iterations));
   cell.model.iterations = iterations;
   uint32_t converged = 0;
-  PMKM_RETURN_NOT_OK(cur.ReadU32(&converged));
+  PMKM_RETURN_NOT_OK(reader.ReadU32(&converged));
+  if (converged > 1) return reader.Error("non-boolean converged flag");
   cell.model.converged = converged != 0;
+  PMKM_RETURN_NOT_OK(reader.ExpectEnd());
   return cell;
 }
 
 std::vector<uint8_t> EncodePartialState(
     GridCellId cell, const IncrementalMergeState& state) PMKM_DETERMINISTIC {
-  std::vector<uint8_t> out;
-  PutU32(&out, kPartialPayloadVersion);
-  PutI32(&out, cell.lat_index);
-  PutI32(&out, cell.lon_index);
-  PutU64(&out, state.partitions_merged);
-  PutF64(&out, state.last_sse);
-  PutU64(&out, state.last_iterations);
+  ByteWriter out;
+  out.WriteU32(kPartialPayloadVersion);
+  out.WriteI32(cell.lat_index);
+  out.WriteI32(cell.lon_index);
+  out.WriteU64(state.partitions_merged);
+  out.WriteF64(state.last_sse);
+  out.WriteU64(state.last_iterations);
   EncodeDataset(&out, state.running.points());
-  PutF64Span(&out, state.running.weights());
-  return out;
+  EncodeF64Vec(&out, state.running.weights());
+  return std::move(out).Take();
 }
 
 Result<std::pair<GridCellId, IncrementalMergeState>> DecodePartialState(
     std::span<const uint8_t> payload) {
-  Cursor cur(payload);
+  ByteReader reader = PayloadReader(payload);
   uint32_t version = 0;
-  PMKM_RETURN_NOT_OK(cur.ReadU32(&version));
+  PMKM_RETURN_NOT_OK(reader.ReadU32(&version));
   if (version != kPartialPayloadVersion) {
-    return Status::IOError("unknown partial-state payload version");
+    return reader.Error("unknown partial-state payload version");
   }
   GridCellId cell;
-  PMKM_RETURN_NOT_OK(cur.ReadI32(&cell.lat_index));
-  PMKM_RETURN_NOT_OK(cur.ReadI32(&cell.lon_index));
+  PMKM_RETURN_NOT_OK(reader.ReadI32(&cell.lat_index));
+  PMKM_RETURN_NOT_OK(reader.ReadI32(&cell.lon_index));
   IncrementalMergeState state;
   uint64_t partitions = 0, iterations = 0;
-  PMKM_RETURN_NOT_OK(cur.ReadU64(&partitions));
-  PMKM_RETURN_NOT_OK(cur.ReadF64(&state.last_sse));
-  PMKM_RETURN_NOT_OK(cur.ReadU64(&iterations));
+  PMKM_RETURN_NOT_OK(reader.ReadU64(&partitions));
+  PMKM_RETURN_NOT_OK(reader.ReadF64(&state.last_sse));
+  PMKM_RETURN_NOT_OK(reader.ReadU64(&iterations));
   state.partitions_merged = partitions;
   state.last_iterations = iterations;
   Dataset points(1);
-  PMKM_RETURN_NOT_OK(DecodeDataset(&cur, &points));
+  PMKM_RETURN_NOT_OK(DecodeDataset(&reader, &points));
   std::vector<double> weights;
-  PMKM_RETURN_NOT_OK(cur.ReadF64Vec(&weights));
+  PMKM_RETURN_NOT_OK(DecodeF64Vec(&reader, &weights));
+  PMKM_RETURN_NOT_OK(reader.ExpectEnd());
   PMKM_ASSIGN_OR_RETURN(
       state.running, WeightedDataset::Create(std::move(points),
                                              std::move(weights)));
@@ -250,9 +177,9 @@ CheckpointState ReplayCheckpointJournal(const JournalRecovery& recovery) {
   for (const JournalRecord& record : recovery.records) {
     switch (static_cast<CheckpointRecordType>(record.type)) {
       case CheckpointRecordType::kRunBegin: {
-        Cursor cur(record.payload);
+        ByteReader reader = PayloadReader(record.payload);
         uint64_t fp = 0;
-        if (cur.ReadU64(&fp).ok()) {
+        if (reader.ReadU64(&fp).ok()) {
           // A later kRunBegin (journal reused across runs) supersedes —
           // everything before it belongs to an older run, so drop it.
           state.completed.clear();
@@ -370,13 +297,13 @@ Result<CheckpointWriter> CheckpointWriter::Open(
   }
 
   if (!writer.recovered_.fingerprint_known) {
-    std::vector<uint8_t> payload;
-    PutU64(&payload, config_fingerprint);
+    ByteWriter payload;
+    payload.WriteU64(config_fingerprint);
     // The run id rides after the fingerprint; old decoders ignore
     // trailing payload bytes, so this stays resume-compatible.
-    payload.insert(payload.end(), obs.run_id.begin(), obs.run_id.end());
+    payload.WriteBytes(obs.run_id);
     PMKM_RETURN_NOT_OK(writer.Append(CheckpointRecordType::kRunBegin,
-                                     payload));
+                                     payload.bytes()));
     PMKM_RETURN_NOT_OK(writer.SyncNow());
   }
   return writer;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -113,11 +113,7 @@ uint64_t ConfigFingerprint(const EngineOptions& options,
   const auto mix = [&h](uint64_t v) {
     h = internal::Fnv1a64(&v, sizeof(v), h);
   };
-  const auto mix_f64 = [&mix](double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    mix(bits);
-  };
+  const auto mix_f64 = [&mix](double v) { mix(std::bit_cast<uint64_t>(v)); };
   mix(options.partial.k);
   mix(options.partial.restarts);
   mix(static_cast<uint64_t>(options.partial.seeding));

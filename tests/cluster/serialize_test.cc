@@ -6,7 +6,9 @@
 #include <fstream>
 
 #include "cluster/kmeans.h"
+#include "common/bytes.h"
 #include "data/generator.h"
+#include "data/io.h"
 
 namespace pmkm {
 namespace {
@@ -117,6 +119,68 @@ TEST_F(SerializeTest, LoadedModelPredictsIdentically) {
   for (size_t i = 0; i < cell.size(); ++i) {
     EXPECT_EQ(loaded->Predict(cell.Row(i)), original.Predict(cell.Row(i)));
   }
+}
+
+// Writes a model file whose header claims a k x dim shape (and, when
+// `assignments` is set, that many assignments) over a tiny body, with a
+// valid checksum, so only the shape checks stand between the header and
+// an allocation sized from it.
+void WriteCraftedModel(const std::string& path, uint64_t k, uint64_t dim,
+                       const uint64_t* assignments = nullptr) {
+  ByteWriter out;
+  out.WriteU32(0x4d4b4d50);  // "PMKM"
+  out.WriteU32(1);
+  out.WriteU64(k);
+  out.WriteU64(dim);
+  out.WriteU32(assignments != nullptr ? 1 : 0);
+  out.WriteU32(0);
+  out.WriteF64(1.0);  // sse
+  out.WriteF64(1.0);  // mse_per_point
+  out.WriteU64(3);    // iterations
+  out.WriteU32(1);    // converged
+  out.WriteU32(0);
+  if (assignments != nullptr) {
+    out.WriteF64s(std::vector<double>(k * dim + k, 0.5));
+    out.WriteU64(*assignments);
+  }
+  out.WriteU64(
+      internal::Fnv1a64(out.bytes().data(), out.size(), internal::kFnvOffset));
+  std::ofstream file(path, std::ios::binary);
+  ASSERT_TRUE(WriteToStream(file, out.bytes()));
+}
+
+TEST_F(SerializeTest, HugeCentroidCountIsIOErrorNotAllocation) {
+  const std::string path = Path("bomb.pmkm");
+  WriteCraftedModel(path, /*k=*/uint64_t{1} << 40, /*dim=*/1);
+  ASSERT_EQ(std::filesystem::file_size(path), 72u);
+  EXPECT_TRUE(LoadModel(path).status().IsIOError());
+}
+
+TEST_F(SerializeTest, OverflowingShapeIsIOError) {
+  // k * dim wraps to 0 in 64 bits.
+  const std::string path = Path("overflow.pmkm");
+  WriteCraftedModel(path, uint64_t{1} << 32, uint64_t{1} << 32);
+  EXPECT_TRUE(LoadModel(path).status().IsIOError());
+}
+
+TEST_F(SerializeTest, HugeAssignmentCountIsIOError) {
+  const std::string path = Path("assign.pmkm");
+  const uint64_t n = uint64_t{1} << 40;
+  WriteCraftedModel(path, /*k=*/2, /*dim=*/3, &n);
+  EXPECT_TRUE(LoadModel(path).status().IsIOError());
+}
+
+TEST_F(SerializeTest, ResavingALoadedModelReproducesTheFile) {
+  ClusteringModel original = FitSample(true);
+  const std::string path = Path("a.pmkm");
+  ASSERT_TRUE(SaveModel(path, original).ok());
+  auto loaded = LoadModel(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const std::string again = Path("b.pmkm");
+  ASSERT_TRUE(SaveModel(again, loaded.value()).ok());
+  std::ifstream a(path, std::ios::binary), b(again, std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(a), {}),
+            std::string(std::istreambuf_iterator<char>(b), {}));
 }
 
 }  // namespace

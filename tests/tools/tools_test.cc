@@ -11,6 +11,7 @@
 #include <string>
 
 #include "cluster/serialize.h"
+#include "common/bytes.h"
 #include "data/io.h"
 
 namespace pmkm {
@@ -214,6 +215,23 @@ TEST_F(ToolsTest, InspectExitCodesAreStatusDerived) {
               static_cast<std::streamsize>(bytes.size() / 2));
   }
   EXPECT_EQ(ExitCode(inspect + " " + truncated), 74);
+
+  // 74 too for a checksum-valid model whose header claims k = 2^40: the
+  // shape is checked against the file size before anything is allocated.
+  const std::string bomb = Dir("bomb.pmkm");
+  {
+    ByteWriter out;
+    out.WriteU32(0x4d4b4d50);  // "PMKM"
+    out.WriteU32(1);
+    out.WriteU64(uint64_t{1} << 40);  // k
+    out.WriteU64(1);                  // dim
+    for (int i = 0; i < 10; ++i) out.WriteU32(0);
+    out.WriteU64(internal::Fnv1a64(out.bytes().data(), out.size(),
+                                   internal::kFnvOffset));
+    std::ofstream file(bomb, std::ios::binary);
+    ASSERT_TRUE(WriteToStream(file, out.bytes()));
+  }
+  EXPECT_EQ(ExitCode(inspect + " " + bomb), 74);
 
   // Several inputs: every failure renders, the first one's code wins.
   EXPECT_EQ(

@@ -57,6 +57,13 @@ trustworthy at scale but that no compiler checks (DESIGN.md §11):
                 installers (obs/profiler.cc SIGPROF, serve/daemon.cc).
                 Process-lifecycle wiring belongs in the CLI surface
                 (tools/), outside the library.
+  raw-bytes     Library code (src/) encodes and decodes bytes only
+                through common/bytes.h (ByteWriter/ByteReader, explicit
+                little-endian): `memcpy` and `reinterpret_cast` to a
+                char/uint8_t/std::byte pointer are banned everywhere else,
+                so a format cannot grow its own host-endian codec again.
+                A non-codec copy (a sockaddr path, a signal-safe ring
+                write) takes an inline allow with its reason.
   direct-run    The retired free-function entry points
                 RunPartialMergeStream / RunPartialMergeStreamInMemory must
                 not reappear: every pipeline run goes through
@@ -102,6 +109,7 @@ RULES = {
     "raw-sync": "raw std sync primitive outside the annotated wrappers",
     "raw-signal": "signal()/sigaction() outside the sanctioned installers",
     "persist": "binary persistence outside the crash-safe commit paths",
+    "raw-bytes": "memcpy/char-pointer cast outside common/bytes.h",
     "direct-run": "pipeline run outside PipelineBuilder (retired entry "
                   "points / raw Executor)",
 }
@@ -135,6 +143,10 @@ RENAME_RE = re.compile(
     r"(?<![\w.:])std::rename\s*\(")
 BINARY_OFSTREAM_RE = re.compile(
     r"std::ofstream\b[^;\n]*std::ios(?:_base)?::binary")
+RAW_BYTES_RE = re.compile(
+    r"\bmemcpy\s*\(|reinterpret_cast\s*<\s*(?:const\s+)?"
+    r"(?:(?:unsigned\s+|signed\s+)?char|(?:std::)?u?int8_t|std::byte)"
+    r"\s*(?:const\s*)?\*\s*>")
 DIRECT_RUN_RE = re.compile(r"\bRunPartialMergeStream(?:InMemory)?\b")
 RAW_EXECUTOR_RE = re.compile(r"\bExecutor\s+\w+\s*[({;]|\bExecutor\s*\(")
 
@@ -296,6 +308,8 @@ def lint_file(root, relpath):
         os.path.join("src", "data", "io.cc"),
         os.path.join("src", "data", "manifest.h"),
         os.path.join("src", "data", "manifest.cc"))
+    # The one byte codec.
+    raw_bytes_exempt = relpath == os.path.join("src", "common", "bytes.h")
     # The engine owns the Executor; operator.{h,cc} declare/implement it;
     # tests may drive it directly to exercise supervision paths.
     raw_exec_exempt = (
@@ -340,6 +354,10 @@ def lint_file(root, relpath):
                     check(lineno, "persist",
                           "binary ofstream outside the crash-safe commit "
                           "paths; use AtomicWriteFile/JournalWriter")
+            if not raw_bytes_exempt and RAW_BYTES_RE.search(line):
+                check(lineno, "raw-bytes",
+                      "raw byte copy/cast; encode and decode through "
+                      "common/bytes.h ByteWriter/ByteReader")
         if DIRECT_RUN_RE.search(line):
             check(lineno, "direct-run",
                   "retired RunPartialMergeStream* entry point; run "
