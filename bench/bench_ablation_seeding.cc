@@ -9,7 +9,6 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "cluster/metrics.h"
 
 namespace pmkm {
 namespace bench {
@@ -53,22 +52,22 @@ int Main(int argc, char** argv) {
     double e_pm = 0.0, sse_raw = 0.0, iters = 0.0, ms = 0.0;
     for (int64_t v = 0; v < grid.versions; ++v) {
       const Dataset cell = MakeCell(n, grid, v);
-      PartialMergeConfig config;
-      config.partial.k = static_cast<size_t>(grid.k);
-      config.partial.restarts = static_cast<size_t>(grid.restarts);
-      config.partial.seed = 5000 + static_cast<uint64_t>(v);
-      config.num_partitions = static_cast<size_t>(splits);
-      config.seed = 77 + static_cast<uint64_t>(v);
-      config.merge.k = 0;
-      config.merge.seeding = variant.method;
-      config.merge.restarts = variant.restarts;
-      config.merge.seed = 99 + static_cast<uint64_t>(v);
-      auto result = PartialMergeKMeans(config).Run(cell);
-      PMKM_CHECK(result.ok()) << result.status();
-      e_pm += result->model.sse;
-      sse_raw += Sse(result->model.centroids, cell);
-      iters += static_cast<double>(result->model.iterations);
-      ms += result->merge_seconds * 1e3;
+      KMeansConfig partial;
+      partial.k = static_cast<size_t>(grid.k);
+      partial.restarts = static_cast<size_t>(grid.restarts);
+      partial.seed = 5000 + static_cast<uint64_t>(v);
+      MergeKMeansConfig merge;
+      merge.k = partial.k;
+      merge.seeding = variant.method;
+      merge.restarts = variant.restarts;
+      merge.seed = 99 + static_cast<uint64_t>(v);
+      const EngineRun run =
+          RunOnEngine(Shuffled(cell, 77 + static_cast<uint64_t>(v)), partial,
+                      merge, static_cast<size_t>(splits));
+      e_pm += run.model.sse;
+      sse_raw += run.stats.sse_raw;
+      iters += run.stats.iterations;
+      ms += run.stats.merge_ms;
     }
     const double inv = 1.0 / static_cast<double>(grid.versions);
     std::string name = variant.name;

@@ -19,6 +19,7 @@
 #include <thread>
 
 #include "bench/bench_util.h"
+#include "cluster/metrics.h"
 #include "common/stopwatch.h"
 #include "stream/engine.h"
 
@@ -131,7 +132,10 @@ int Main(int argc, char** argv) {
     const double wall = result->wall_seconds * 1e3;
     if (clones == 1) base_wall = wall;
     stream_stats.total_ms = wall;
-    stream_stats.min_mse = result->cells.at(bucket.cell).model.sse;
+    const ClusteringModel& model = result->cells.at(bucket.cell).model;
+    stream_stats.min_mse = model.sse;
+    stream_stats.e_pm = model.sse;
+    stream_stats.sse_raw = Sse(model.centroids, cell);
     stream_stats.partial_ms = 0.0;
     stream_stats.merge_ms = 0.0;
     for (const OperatorStats& op : result->operator_stats) {
@@ -146,7 +150,7 @@ int Main(int argc, char** argv) {
                         7)
               << " | " << Fmt(wall, 12) << " | "
               << Fmt(base_wall / std::max(wall, 1e-9), 7, 2) << "x | "
-              << Fmt(result->cells.at(bucket.cell).model.sse, 8, 0)
+              << Fmt(model.sse, 8, 0)
               << "\n";
   }
   std::cout << "\nExpected shape (paper §5.1): near-linear speed-up while "

@@ -48,8 +48,7 @@ int Main(int argc, char** argv) {
         if (c.splits == 0) {
           runs.push_back(RunSerial(cell, grid, seed));
         } else {
-          runs.push_back(
-              RunPartialMerge(cell, grid, c.splits, /*threads=*/1, seed));
+          runs.push_back(RunPartialMerge(cell, grid, c.splits, seed).stats);
         }
       }
       const RunStats avg = Average(runs);

@@ -6,9 +6,11 @@
 #include <iostream>
 #include <sstream>
 
+#include "cluster/kernels/kernel.h"
 #include "cluster/metrics.h"
 #include "common/stopwatch.h"
 #include "obs/json.h"
+#include "stream/engine.h"
 
 namespace pmkm {
 namespace bench {
@@ -61,31 +63,67 @@ RunStats RunSerial(const Dataset& cell, const ExperimentGrid& grid,
   return stats;
 }
 
-RunStats RunPartialMerge(const Dataset& cell, const ExperimentGrid& grid,
-                         size_t splits, size_t threads, uint64_t seed) {
-  PartialMergeConfig config;
-  config.partial.k = static_cast<size_t>(grid.k);
-  config.partial.restarts = static_cast<size_t>(grid.restarts);
-  config.partial.seed = seed;
-  config.num_partitions = splits;
-  config.num_threads = threads;
-  config.seed = seed ^ 0xabcdef;
-  auto result = PartialMergeKMeans(config).Run(cell);
+EngineRun RunOnEngine(const Dataset& cell, const KMeansConfig& partial,
+                      const MergeKMeansConfig& merge, size_t splits) {
+  PMKM_CHECK(splits >= 1);
+  GridBucket bucket;
+  bucket.cell = GridCellId{0, 0};
+  bucket.points = cell;
+  ResourceModel resources;
+  resources.cores = 1;
+  auto result = PipelineBuilder()
+                    .WithPartialKMeans(partial)
+                    .WithMerge(merge)
+                    .WithResources(resources)
+                    .WithKernel(DefaultKernel().kind())
+                    .WithChunkPoints((cell.size() + splits - 1) / splits)
+                    .RunInMemory({std::move(bucket)});
   PMKM_CHECK(result.ok()) << result.status();
-  RunStats stats;
-  stats.partial_ms = result->partial_seconds * 1e3;
-  stats.merge_ms = result->merge_seconds * 1e3;
-  stats.total_ms = result->total_seconds * 1e3;
-  stats.min_mse = result->model.sse;  // E_pm
-  stats.sse_raw = Sse(result->model.centroids, cell);
-  stats.iterations = static_cast<double>(result->model.iterations);
-  return stats;
+  const CellClustering& clustering = result->cells.at(GridCellId{0, 0});
+  EngineRun run;
+  run.model = clustering.model;
+  for (const OperatorStats& op : result->operator_stats) {
+    if (op.name.rfind("partial-kmeans", 0) == 0) {
+      run.stats.partial_ms =
+          std::max(run.stats.partial_ms, op.wall_seconds * 1e3);
+    }
+  }
+  run.stats.merge_ms = clustering.merge_seconds * 1e3;
+  run.stats.total_ms = result->wall_seconds * 1e3;
+  run.stats.min_mse = run.model.sse;  // E_pm
+  run.stats.e_pm = run.model.sse;
+  run.stats.sse_raw = Sse(run.model.centroids, cell);
+  run.stats.iterations = static_cast<double>(run.model.iterations);
+  return run;
+}
+
+Dataset Shuffled(const Dataset& cell, uint64_t seed) {
+  Dataset out = cell;
+  Rng rng(seed);
+  out.Shuffle(&rng);
+  return out;
+}
+
+EngineRun RunPartialMerge(const Dataset& cell, const ExperimentGrid& grid,
+                          size_t splits, uint64_t seed) {
+  KMeansConfig partial;
+  partial.k = static_cast<size_t>(grid.k);
+  partial.restarts = static_cast<size_t>(grid.restarts);
+  partial.seed = seed;
+  MergeKMeansConfig merge;
+  merge.k = partial.k;
+  return RunOnEngine(Shuffled(cell, seed ^ 0xabcdef), partial, merge,
+                     splits);
 }
 
 RunStats Average(const std::vector<RunStats>& runs) {
   RunStats avg;
   if (runs.empty()) return avg;
+  bool all_pm = true;
+  double e_pm = 0.0;
   for (const RunStats& r : runs) {
+    all_pm = all_pm && r.e_pm.has_value();
+    e_pm += r.e_pm.value_or(0.0);
     avg.partial_ms += r.partial_ms;
     avg.merge_ms += r.merge_ms;
     avg.total_ms += r.total_ms;
@@ -100,6 +138,7 @@ RunStats Average(const std::vector<RunStats>& runs) {
   avg.min_mse /= n;
   avg.sse_raw /= n;
   avg.iterations /= n;
+  if (all_pm) avg.e_pm = e_pm / n;
   return avg;
 }
 
@@ -149,6 +188,8 @@ Status WriteBenchJson(const std::string& path,
   entry.Set("t_partial_s", stats.partial_ms * 1e-3);
   entry.Set("t_merge_s", stats.merge_ms * 1e-3);
   entry.Set("min_mse", stats.min_mse);
+  entry.Set("sse_raw", stats.sse_raw);
+  if (stats.e_pm.has_value()) entry.Set("e_pm", *stats.e_pm);
   doc.Set(benchmark, std::move(entry));
   std::ofstream out(path, std::ios::trunc);
   out << doc.Dump(2) << "\n";

@@ -13,11 +13,12 @@
 #ifndef PMKM_BENCH_BENCH_UTIL_H_
 #define PMKM_BENCH_BENCH_UTIL_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cluster/kmeans.h"
-#include "cluster/partial_merge.h"
+#include "cluster/merge.h"
 #include "common/flags.h"
 #include "data/generator.h"
 
@@ -51,6 +52,7 @@ struct RunStats {
   double total_ms = 0.0;    // overall t
   double min_mse = 0.0;     // the paper's metric (see header comment)
   double sse_raw = 0.0;     // merged/serial centroids evaluated on raw data
+  std::optional<double> e_pm;  // merge objective; partial/merge rows only
   double iterations = 0.0;
 };
 
@@ -58,11 +60,31 @@ struct RunStats {
 RunStats RunSerial(const Dataset& cell, const ExperimentGrid& grid,
                    uint64_t seed);
 
-/// Partial/merge k-means with the given split count, run with the paper's
-/// configuration (R restarts per partition, heaviest-weight merge seeding).
-/// `threads` = 1 reproduces the single-machine rows.
-RunStats RunPartialMerge(const Dataset& cell, const ExperimentGrid& grid,
-                         size_t splits, size_t threads, uint64_t seed);
+/// One cell clustered by the engine, with its stats.
+struct EngineRun {
+  ClusteringModel model;
+  RunStats stats;
+};
+
+/// Runs `cell` through the engine (PipelineBuilder::RunInMemory) as
+/// `splits` chunks of ceil(N/splits) consecutive rows on one partial
+/// clone: the paper's single-machine rows. The row order is the
+/// caller's; shuffle first for the paper's random partitions. Every
+/// k-means runs on the process default kernel, so a harness's --kernel
+/// applies. t_{C0-Ci} is the partial clone's wall time and t_merge the
+/// cell's merge time.
+EngineRun RunOnEngine(const Dataset& cell, const KMeansConfig& partial,
+                      const MergeKMeansConfig& merge, size_t splits);
+
+/// `cell` in a random row order drawn from `seed`. Cut into consecutive
+/// chunks by the engine, this gives the paper's random partitions.
+Dataset Shuffled(const Dataset& cell, uint64_t seed);
+
+/// Partial/merge k-means with the paper's configuration: the cell in
+/// random order cut into `splits` partitions, R restarts per partition,
+/// heaviest-weight merge seeding, one machine.
+EngineRun RunPartialMerge(const Dataset& cell, const ExperimentGrid& grid,
+                          size_t splits, uint64_t seed);
 
 /// Averages stats over several runs.
 RunStats Average(const std::vector<RunStats>& runs);
@@ -80,7 +102,8 @@ void PrintBanner(const std::string& experiment_id,
                  const ExperimentGrid& grid);
 
 /// Machine-readable results: merges `benchmark` →
-/// {wall_s, t_partial_s, t_merge_s, min_mse} into the JSON object stored
+/// {wall_s, t_partial_s, t_merge_s, min_mse, sse_raw[, e_pm]} (e_pm on
+/// partial/merge rows only) into the JSON object stored
 /// at `path` (read-modify-rewrite, so several harnesses invoked with the
 /// same --json_out accumulate into one file, e.g. BENCH_stream.json).
 Status WriteBenchJson(const std::string& path,

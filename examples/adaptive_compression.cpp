@@ -11,12 +11,12 @@
 #include <iostream>
 
 #include "cluster/metrics.h"
-#include "cluster/partial_merge.h"
 #include "cluster/validity.h"
 #include "common/flags.h"
 #include "data/generator.h"
 #include "histogram/adaptive.h"
 #include "histogram/histogram.h"
+#include "stream/engine.h"
 
 int main(int argc, char** argv) {
   int64_t n = 20000;
@@ -57,11 +57,19 @@ int main(int argc, char** argv) {
             << adaptive->pooled_centroids << " pooled codewords)\n";
 
   // --- Fixed-k pipeline at the same final k ------------------------------
-  pmkm::PartialMergeConfig fconfig;
-  fconfig.partial.k = adaptive->model.k();
-  fconfig.partial.restarts = 5;
-  fconfig.num_partitions = static_cast<size_t>(splits);
-  auto fixed = pmkm::PartialMergeKMeans(fconfig).Run(cell);
+  pmkm::KMeansConfig partial;
+  partial.k = adaptive->model.k();
+  partial.restarts = 5;
+  pmkm::MergeKMeansConfig merge;
+  merge.k = partial.k;
+  pmkm::GridBucket bucket;
+  bucket.points = cell;
+  auto fixed = pmkm::PipelineBuilder()
+                   .WithPartialKMeans(partial)
+                   .WithMerge(merge)
+                   .WithChunkPoints(static_cast<size_t>((n + splits - 1) /
+                                                        splits))
+                   .RunInMemory({std::move(bucket)});
   if (!fixed.ok()) {
     std::cerr << fixed.status() << "\n";
     return 1;
@@ -81,7 +89,7 @@ int main(int argc, char** argv) {
   };
   std::cout << "\ncomparison at equal final k:\n";
   report("adaptive", adaptive->model);
-  report("fixed-k", fixed->model);
+  report("fixed-k", fixed->cells.begin()->second.model);
 
   std::cout << "\nThe adaptive pipeline discovers the bucket budget from "
                "the data (small or\nsimple partitions emit fewer "

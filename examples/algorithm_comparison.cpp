@@ -12,10 +12,10 @@
 #include "baselines/online.h"
 #include "baselines/stream_ls.h"
 #include "cluster/metrics.h"
-#include "cluster/partial_merge.h"
 #include "common/flags.h"
 #include "common/stopwatch.h"
 #include "data/generator.h"
+#include "stream/engine.h"
 
 namespace {
 
@@ -61,17 +61,27 @@ int main(int argc, char** argv) {
              model->k());
   }
   {
-    pmkm::PartialMergeConfig config;
-    config.partial.k = kk;
-    config.partial.restarts = 5;
-    config.num_partitions = 10;
+    // Ten chunks of the cell (the generator emits points in random
+    // order), clustered on one partial clone like the other
+    // single-threaded rows, then merged.
+    pmkm::KMeansConfig partial;
+    partial.k = kk;
+    partial.restarts = 5;
+    pmkm::MergeKMeansConfig merge;
+    merge.k = kk;
+    pmkm::GridBucket bucket;
+    bucket.points = cell;
     const pmkm::Stopwatch watch;
-    auto result = pmkm::PartialMergeKMeans(config).Run(cell);
+    auto result = pmkm::PipelineBuilder()
+                      .WithPartialKMeans(partial)
+                      .WithMerge(merge)
+                      .WithResources({.cores = 1})
+                      .WithChunkPoints((cell.size() + 9) / 10)
+                      .RunInMemory({std::move(bucket)});
     PMKM_CHECK(result.ok()) << result.status();
-    PrintRow("partial/merge (paper)", "O(N/p)",
-             watch.ElapsedMillis(),
-             pmkm::Sse(result->model.centroids, cell),
-             result->model.k());
+    const pmkm::ClusteringModel& model = result->cells.begin()->second.model;
+    PrintRow("partial/merge (paper)", "O(N/p)", watch.ElapsedMillis(),
+             pmkm::Sse(model.centroids, cell), model.k());
   }
   {
     pmkm::BirchConfig config;

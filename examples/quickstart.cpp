@@ -3,17 +3,18 @@
 //   $ ./build/examples/quickstart [--n=20000] [--k=40] [--splits=10]
 //
 // Generates a MISR-like 6-attribute cell, clusters it with the paper's
-// algorithm (partial k-means per chunk, weighted merge), and prints the
-// quality/time summary plus the heaviest centroids.
+// algorithm (partial k-means per chunk, weighted merge) on the stream
+// engine, and prints the quality/time summary plus the heaviest
+// centroids.
 
 #include <algorithm>
 #include <iostream>
 #include <numeric>
 
 #include "cluster/metrics.h"
-#include "cluster/partial_merge.h"
 #include "common/flags.h"
 #include "data/generator.h"
+#include "stream/engine.h"
 
 int main(int argc, char** argv) {
   int64_t n = 20000;
@@ -27,39 +28,49 @@ int main(int argc, char** argv) {
       .AddInt("restarts", &restarts, "random seed sets per partition");
   const pmkm::Status st = parser.Parse(argc, argv);
   if (st.IsCancelled()) return 0;
-  if (!st.ok()) {
+  if (!st.ok() || n < 1 || splits < 1) {
     std::cerr << st << "\n" << parser.Usage(argv[0]);
     return 1;
   }
 
   // 1. A synthetic 1°×1° cell: N points, 6 correlated radiance-like
-  //    attributes (what one MISR grid bucket looks like).
+  //    attributes (what one MISR grid bucket looks like). The generator
+  //    emits points in random order.
   pmkm::Rng rng(7);
-  const pmkm::Dataset cell =
-      pmkm::GenerateMisrLikeCell(static_cast<size_t>(n), &rng);
+  pmkm::GridBucket bucket;  // cell {0, 0}
+  bucket.points = pmkm::GenerateMisrLikeCell(static_cast<size_t>(n), &rng);
+  const pmkm::Dataset cell = bucket.points;
   std::cout << "cell: " << cell.size() << " points x " << cell.dim()
             << " attributes\n";
 
   // 2. Configure the paper's algorithm: k-means on each of `splits`
-  //    random chunks (best of R restarts), then a weighted merge seeded
-  //    from the heaviest centroids.
-  pmkm::PartialMergeConfig config;
-  config.partial.k = static_cast<size_t>(k);
-  config.partial.restarts = static_cast<size_t>(restarts);
-  config.num_partitions = static_cast<size_t>(splits);
+  //    chunks of the cell (best of R restarts), then a weighted merge
+  //    seeded from the heaviest centroids.
+  pmkm::KMeansConfig partial;
+  partial.k = static_cast<size_t>(k);
+  partial.restarts = static_cast<size_t>(restarts);
+  pmkm::MergeKMeansConfig merge;
+  merge.k = partial.k;
 
-  auto result = pmkm::PartialMergeKMeans(config).Run(cell);
+  auto result = pmkm::PipelineBuilder()
+                    .WithPartialKMeans(partial)
+                    .WithMerge(merge)
+                    .WithChunkPoints(static_cast<size_t>((n + splits - 1) /
+                                                         splits))
+                    .RunInMemory({std::move(bucket)});
   if (!result.ok()) {
     std::cerr << "clustering failed: " << result.status() << "\n";
     return 1;
   }
 
   // 3. Inspect the model.
-  const pmkm::ClusteringModel& model = result->model;
+  const pmkm::CellClustering& clustering = result->cells.begin()->second;
+  const pmkm::ClusteringModel& model = clustering.model;
   std::cout << "k = " << model.k() << " centroids from "
-            << result->pooled_centroids << " pooled partial centroids\n";
-  std::cout << "partial phase: " << result->partial_seconds * 1e3
-            << " ms, merge: " << result->merge_seconds * 1e3 << " ms\n";
+            << clustering.pooled_centroids << " pooled partial centroids ("
+            << result->plan.partial_clones << " partial clone(s))\n";
+  std::cout << "run: " << result->wall_seconds * 1e3
+            << " ms, merge: " << clustering.merge_seconds * 1e3 << " ms\n";
   std::cout << "E_pm (merge objective)  = " << model.sse << "\n";
   std::cout << "SSE on raw points       = "
             << pmkm::Sse(model.centroids, cell) << "\n";

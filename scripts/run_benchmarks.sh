@@ -1,9 +1,15 @@
 #!/usr/bin/env bash
 # Smoke-config benchmark run emitting machine-readable stream results:
 #   BENCH_stream.json — { benchmark: {wall_s, t_partial_s, t_merge_s,
-#                         min_mse}, ... }
-# for the Fig. 6 time sweep (serial + 10-chunk partial/merge at the
-# largest N, once with the scalar reference kernel and once with the
+#                         min_mse, sse_raw[, e_pm]}, ... }
+# min_mse is the paper's "Min MSE" column: SSE over the raw points on
+# serial rows, E_pm over the pooled weighted centroids on partial/merge
+# rows. sse_raw (every row) evaluates the model on the raw points; e_pm
+# (partial/merge rows only) is the merge objective. Every partial/merge
+# row times the stream engine (PipelineBuilder): the fig6 rows at 1
+# core, speedup_stream at its widest clone configuration.
+# Rows cover the Fig. 6 time sweep (serial + 10-chunk partial/merge at
+# the largest N, once with the scalar reference kernel and once with the
 # auto-selected SIMD kernel), the operator-clone speed-up study, and the
 # AssignBlock kernel micro-sweep (per-kernel throughput at D=6/16/64,
 # k=40). The "host" entry records the host ISA and the kernel auto

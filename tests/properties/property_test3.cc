@@ -1,37 +1,69 @@
 // Property suites, part 3: the partitioning-strategy design space (paper
-// §6) and the refinement extension, swept parametrically.
+// §6), swept parametrically. Every strategy is a row order of the cell,
+// cut by the engine's chunker into p chunks of ceil(N/p) rows.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <tuple>
 
 #include "cluster/metrics.h"
-#include "cluster/partial_merge.h"
 #include "data/generator.h"
+#include "data/slicing.h"
+#include "stream/engine.h"
 
 namespace pmkm {
 namespace {
 
 // ---------------------------------------------------------------------------
-// S1: every slicing strategy yields a complete, non-empty partitioning and
-// a valid end-to-end model.
+// S1: every slicing strategy yields a complete partitioning and a valid
+// end-to-end model.
 
-using StrategyParam = std::tuple<PartitionStrategy, int>;
+enum class Strategy { kRandom, kContiguous, kSpatial, kStripes };
+
+using StrategyParam = std::tuple<Strategy, int>;
 
 class StrategyProperty : public ::testing::TestWithParam<StrategyParam> {};
 
-const char* Name(PartitionStrategy s) {
+const char* Name(Strategy s) {
   switch (s) {
-    case PartitionStrategy::kRandom:
+    case Strategy::kRandom:
       return "random";
-    case PartitionStrategy::kContiguous:
+    case Strategy::kContiguous:
       return "contiguous";
-    case PartitionStrategy::kSpatial:
+    case Strategy::kSpatial:
       return "spatial";
-    case PartitionStrategy::kStripes:
+    case Strategy::kStripes:
       return "stripes";
   }
   return "?";
+}
+
+// `cell`'s rows in the strategy's order: shuffled, arrival order, grouped
+// by spatial subcell (ceil(sqrt(p))-sided grid on coordinates 0/1), or
+// stably sorted along coordinate 0.
+Dataset Ordered(const Dataset& cell, Strategy strategy, int p, Rng* rng) {
+  Dataset out(cell.dim());
+  switch (strategy) {
+    case Strategy::kRandom:
+      out = cell;
+      out.Shuffle(rng);
+      break;
+    case Strategy::kContiguous:
+      out = cell;
+      break;
+    case Strategy::kSpatial: {
+      const auto side = static_cast<size_t>(
+          std::ceil(std::sqrt(static_cast<double>(p))));
+      const auto parts = SplitSpatialGrid(cell, side);
+      for (const Dataset& part : *parts) out.AppendAll(part);
+      break;
+    }
+    case Strategy::kStripes:
+      out = std::move(SplitStripes(cell, 1, 0)->front());
+      break;
+  }
+  return out;
 }
 
 TEST_P(StrategyProperty, EndToEndInvariants) {
@@ -40,72 +72,53 @@ TEST_P(StrategyProperty, EndToEndInvariants) {
           static_cast<uint64_t>(strategy));
   const Dataset cell = GenerateMisrLikeCell(3000, &rng);
 
-  PartialMergeConfig config;
-  config.partial.k = 8;
-  config.partial.restarts = 2;
-  config.num_partitions = static_cast<size_t>(p);
-  config.strategy = strategy;
-  auto result = PartialMergeKMeans(config).Run(cell);
-  ASSERT_TRUE(result.ok()) << Name(strategy) << " p=" << p << ": "
-                           << result.status();
+  GridBucket bucket;
+  bucket.points = Ordered(cell, strategy, p, &rng);
+  KMeansConfig partial;
+  partial.k = 8;
+  partial.restarts = 2;
+  MergeKMeansConfig merge;
+  merge.k = 8;
+  ResourceModel resources;
+  resources.cores = 1;
+  auto run = PipelineBuilder()
+                 .WithPartialKMeans(partial)
+                 .WithMerge(merge)
+                 .WithResources(resources)
+                 .WithChunkPoints(static_cast<size_t>((3000 + p - 1) / p))
+                 .RunInMemory({std::move(bucket)});
+  ASSERT_TRUE(run.ok()) << Name(strategy) << " p=" << p << ": "
+                        << run.status();
+  const CellClustering& result = run->cells.at(GridCellId{});
 
-  // Mass conservation holds under every slicing.
+  // Mass conservation holds under every slicing, and every order is a
+  // permutation of the cell: all points reach a partition.
   double mass = 0.0;
-  for (double w : result->model.weights) mass += w;
+  for (double w : result.model.weights) mass += w;
   EXPECT_NEAR(mass, 3000.0, 1e-6);
+  EXPECT_EQ(result.input_points, 3000u);
 
-  // Spatial slicing may produce a different partition count (grid cells),
-  // the others respect p (up to empty-part dropping).
-  EXPECT_GE(result->num_partitions, 1u);
-  if (strategy != PartitionStrategy::kSpatial) {
-    EXPECT_LE(result->num_partitions, static_cast<size_t>(p));
-  }
+  // Every strategy yields at most p partitions of k centroids each.
+  EXPECT_GE(result.pooled_centroids, 1u);
+  EXPECT_LE(result.pooled_centroids, static_cast<size_t>(p) * 8);
 
   // The model must beat the trivial single-mean model on raw points.
   Dataset mean_model(cell.dim());
   mean_model.Append(cell.Mean());
-  EXPECT_LT(Sse(result->model.centroids, cell), Sse(mean_model, cell));
+  EXPECT_LT(Sse(result.model.centroids, cell), Sse(mean_model, cell));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, StrategyProperty,
-    ::testing::Combine(::testing::Values(PartitionStrategy::kRandom,
-                                         PartitionStrategy::kContiguous,
-                                         PartitionStrategy::kSpatial,
-                                         PartitionStrategy::kStripes),
+    ::testing::Combine(::testing::Values(Strategy::kRandom,
+                                         Strategy::kContiguous,
+                                         Strategy::kSpatial,
+                                         Strategy::kStripes),
                        ::testing::Values(2, 6, 12)),
     [](const ::testing::TestParamInfo<StrategyParam>& info) {
       return std::string(Name(std::get<0>(info.param))) + "_p" +
              std::to_string(std::get<1>(info.param));
     });
-
-// ---------------------------------------------------------------------------
-// S2: refinement is monotone — more refinement iterations never increase
-// the raw error (Lloyd monotonicity through the driver).
-
-class RefineProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(RefineProperty, RawErrorNonIncreasingInBudget) {
-  const int n = GetParam();
-  Rng rng(static_cast<uint64_t>(n));
-  const Dataset cell = GenerateMisrLikeCell(static_cast<size_t>(n), &rng);
-  double prev = std::numeric_limits<double>::infinity();
-  for (size_t budget : {0u, 1u, 3u, 10u}) {
-    PartialMergeConfig config;
-    config.partial.k = 10;
-    config.partial.restarts = 2;
-    config.num_partitions = 5;
-    config.refine_iterations = budget;
-    auto result = PartialMergeKMeans(config).Run(cell);
-    ASSERT_TRUE(result.ok());
-    const double raw = Sse(result->model.centroids, cell);
-    EXPECT_LE(raw, prev * (1.0 + 1e-9)) << "budget " << budget;
-    prev = raw;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, RefineProperty,
-                         ::testing::Values(800, 4000));
 
 }  // namespace
 }  // namespace pmkm

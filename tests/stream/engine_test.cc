@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <filesystem>
 
 #include "common/flags.h"
@@ -173,6 +174,41 @@ TEST(PipelineBuilderTest, ChunkOverrideKeepsQueueRule) {
   EXPECT_EQ(result->plan.queue_capacity,
             PlanQueueCapacity(result->plan.partial_clones, 2000, 6,
                               resources.memory_bytes_per_operator));
+}
+
+TEST(PipelineBuilderTest, ModelBitwiseEqualAcrossCoreCounts) {
+  // Clone count is a speed knob only: 1, 2 and 4 cores (1, 1 and 3
+  // partial clones) over the same six chunks give the same model bytes.
+  KMeansConfig partial;
+  partial.k = 7;
+  partial.restarts = 2;
+  MergeKMeansConfig merge;
+  merge.k = 7;
+  auto Run = [&](size_t cores) {
+    ResourceModel resources;
+    resources.cores = cores;
+    return PipelineBuilder()
+        .WithPartialKMeans(partial)
+        .WithMerge(merge)
+        .WithResources(resources)
+        .WithChunkPoints(500)
+        .RunInMemory({MakeBucket(7, 3000, 8)});
+  };
+  auto ref = Run(1);
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  const ClusteringModel& a = ref->cells.at(GridCellId{7, 7}).model;
+  EXPECT_EQ(ref->cells.at(GridCellId{7, 7}).pooled_centroids, 6u * 7u);
+  for (size_t cores : {2u, 4u}) {
+    SCOPED_TRACE(cores);
+    auto alt = Run(cores);
+    ASSERT_TRUE(alt.ok()) << alt.status();
+    EXPECT_EQ(alt->plan.partial_clones, cores - 1);
+    const ClusteringModel& b = alt->cells.at(GridCellId{7, 7}).model;
+    EXPECT_EQ(a.centroids, b.centroids);
+    EXPECT_EQ(a.weights, b.weights);
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.sse),
+              std::bit_cast<uint64_t>(b.sse));
+  }
 }
 
 TEST(PipelineBuilderTest, ExplainNamesKernel) {

@@ -91,11 +91,10 @@ TEST_F(ToolsTest, EndToEndClusterAndInspect) {
   for (const auto& e : fs::directory_iterator(Dir("b"))) {
     buckets += " " + e.path().string();
   }
-  for (const std::string algo : {"pm", "serial", "stream"}) {
+  for (const std::string algo : {"serial", "stream"}) {
     const std::string out = Dir("m_" + algo);
     ASSERT_EQ(Run(std::string(PMKM_TOOL_CLUSTER) + " --algo=" + algo +
-                  " --k=8 --restarts=2 --splits=4 --out=" + out +
-                  buckets),
+                  " --k=8 --restarts=2 --out=" + out + buckets),
               0)
         << algo;
     size_t models = 0;
@@ -111,6 +110,10 @@ TEST_F(ToolsTest, EndToEndClusterAndInspect) {
     }
     EXPECT_EQ(models, 2u) << algo;
   }
+  // pm is not an algorithm: a usage error (EX_USAGE).
+  EXPECT_EQ(ExitCode(std::string(PMKM_TOOL_CLUSTER) +
+                     " --algo=pm --k=8 --out=" + Dir("m_pm") + buckets),
+            64);
 }
 
 TEST_F(ToolsTest, StreamObservabilityOutputsAndInspect) {

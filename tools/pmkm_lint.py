@@ -69,9 +69,14 @@ trustworthy at scale but that no compiler checks (DESIGN.md §11):
                 not reappear: every pipeline run goes through
                 PipelineBuilder (stream/engine.h) so cancel tokens,
                 observability sinks, resource budgets and checkpointing
-                are wired in one place. Likewise, constructing the raw
-                stream Executor outside the engine bypasses supervision;
-                only stream/engine.cc and tests may build one directly.
+                are wired in one place. Nor may the retired in-memory
+                driver's names (PartialMerge{KMeans,Config,Result},
+                Partition{Strategy}): partial/merge has one
+                implementation, the engine. Whole-word matching keeps
+                AdaptivePartialMergeKMeans legal. Likewise, constructing
+                the raw stream Executor outside the engine bypasses
+                supervision; only stream/engine.cc and tests may build one
+                directly.
 
 Suppression: append `// pmkm-lint: allow(<rule>)` to the offending line
 (or the line above) together with a comment justifying the exception.
@@ -111,7 +116,7 @@ RULES = {
     "persist": "binary persistence outside the crash-safe commit paths",
     "raw-bytes": "memcpy/char-pointer cast outside common/bytes.h",
     "direct-run": "pipeline run outside PipelineBuilder (retired entry "
-                  "points / raw Executor)",
+                  "points / in-memory driver / raw Executor)",
 }
 
 # Directories scanned when no explicit file list is given.
@@ -148,6 +153,10 @@ RAW_BYTES_RE = re.compile(
     r"(?:(?:unsigned\s+|signed\s+)?char|(?:std::)?u?int8_t|std::byte)"
     r"\s*(?:const\s*)?\*\s*>")
 DIRECT_RUN_RE = re.compile(r"\bRunPartialMergeStream(?:InMemory)?\b")
+# Spelled in pieces so `git grep -w` for the retired names finds only
+# real uses.
+RETIRED_DRIVER_RE = re.compile(
+    r"\b(?:PartialMerge(?:KMeans|Config|Result)|Partition(?:Strategy))\b")
 RAW_EXECUTOR_RE = re.compile(r"\bExecutor\s+\w+\s*[({;]|\bExecutor\s*\(")
 
 
@@ -361,6 +370,10 @@ def lint_file(root, relpath):
         if DIRECT_RUN_RE.search(line):
             check(lineno, "direct-run",
                   "retired RunPartialMergeStream* entry point; run "
+                  "through PipelineBuilder (stream/engine.h)")
+        if RETIRED_DRIVER_RE.search(line):
+            check(lineno, "direct-run",
+                  "retired in-memory partial/merge driver; run "
                   "through PipelineBuilder (stream/engine.h)")
         if not raw_exec_exempt and RAW_EXECUTOR_RE.search(line):
             check(lineno, "direct-run",
